@@ -32,8 +32,6 @@ import numpy as np
 
 from .tree import RecursiveTree, subtree_sizes
 
-RUMOR_TIE_BAND_PER_VERTEX = 1e-7
-
 
 class ScoreOverflowError(OverflowError):
     """Scores would not fit 64-bit integers for the requested (n, q)."""
@@ -144,63 +142,80 @@ def closeness_scores(
     return np.array(out, dtype=np.int64)
 
 
-class RumorComparator:
-    """Exact comparison of rumor scores via telescoping integer products.
+# Float64 log is within 1 ulp (NumPy's accuracy tests hold np.log to that;
+# math.log calls the C library's); the band allows twice that.
+_LOG_ULPS = 2
 
-    For adjacent vertices phi(child)/phi(parent) = (n - size)/size with
-    the child's subtree size, so phi(a)/phi(b) telescopes along the tree
-    path between a and b.  Comparisons cross-multiply the integer
-    factors, which stays exact where accumulated float logs cannot.
+
+def phi_sign(parent: Sequence[int], size: Sequence[int], n: int, a: int, b: int) -> int:
+    """Sign of phi(a) - phi(b) on an n-vertex tree: -1, 0 or 1, exactly.
+
+    Along an edge phi(child)/phi(parent) = (n - s)/s with s the child's
+    subtree size, so phi(a)/phi(b) telescopes over the path from a to b.
+    Labels fall along every path to the root, so the larger of a and b
+    is never their common ancestor: stepping it up until they meet walks
+    exactly that path.  ``parent`` and ``size`` are Python int sequences;
+    int64 products would overflow.
+    """
+    lhs = rhs = 1
+    while a != b:
+        if a > b:
+            s = size[a]
+            lhs *= n - s
+            rhs *= s
+            a = parent[a]
+        else:
+            s = size[b]
+            lhs *= s
+            rhs *= n - s
+            b = parent[b]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def rumor_band(n: int, height: int) -> float:
+    """Float gap within which two rumor log ratios may still be exact ties.
+
+    A root-relative score log phi(v) - log phi(1) is summed from the root
+    down over the h <= ``height`` edges to v, each adding the rounded
+    log(n - s) - log(s).  Per edge the two logs err by at most ``_LOG_ULPS``
+    ulp of a value <= ln n, the subtraction rounds a value <= ln n, and the
+    running sum rounds a value <= h ln n.  With eps = 2^-52 (ulp(x) <=
+    eps |x|, rounding <= eps |x| / 2) one edge errs by at most
+    eps ln n (2 _LOG_ULPS + 1/2 + h/2), a score by h times that, and the
+    difference of two scores by twice the sum, h (h + 4 _LOG_ULPS + 1)
+    eps ln n.  One more h eps ln n covers second-order terms and the
+    rounding of the comparison itself.  A float gap above the band thus
+    orders the exact scores strictly; at n = 10^6 and h about 40 it is
+    6e-12.  The bound holds for sums along any paths of at most
+    ``height`` edges from one start vertex, and no path in a tree has
+    more than n - 1 edges, so ``height = n - 1`` is sound for any shape.
+    """
+    if n < 2 or height < 1:
+        return 0.0
+    return height * (height + 4 * _LOG_ULPS + 2) * math.ulp(1.0) * math.log(n)
+
+
+class RumorComparator:
+    """Root-relative rumor log scores with their band and exact comparison.
+
+    ``rel[v]`` is log phi(v) - log phi(1) as ``rumor_scores`` summed it
+    and ``band`` is ``rumor_band`` at the tree's height; ``compare``
+    settles what the floats cannot, through ``phi_sign``.
     """
 
-    def __init__(self, tree: RecursiveTree, sizes: np.ndarray):
-        self._par = tree.parent.tolist()
-        self._s = sizes.tolist()
+    def __init__(self, tree: RecursiveTree, sizes: np.ndarray, rel: np.ndarray, height: int):
         self.n = tree.n
-        depth = [0] * (tree.n + 1)
-        par = self._par
-        for v in range(2, tree.n + 1):
-            depth[v] = depth[par[v]] + 1
-        self._depth = depth
-
-    def _path_factors(self, lo: int, hi_excl: int) -> tuple[int, int]:
-        """Product of (n - s_w) and of s_w for w walking lo up to hi_excl."""
-        num = 1
-        den = 1
-        n = self.n
-        s = self._s
-        par = self._par
-        w = lo
-        while w != hi_excl:
-            num *= n - s[w]
-            den *= s[w]
-            w = par[w]
-        return num, den
+        self.parent = tree.parent
+        self.sizes = sizes
+        self.rel = rel
+        self.band = rumor_band(tree.n, height)
+        self._lists: tuple[list, list] | None = None
 
     def compare(self, a: int, b: int) -> int:
         """Sign of phi(a) - phi(b): -1, 0, or 1, computed exactly."""
-        if a == b:
-            return 0
-        depth = self._depth
-        par = self._par
-        x, y = a, b
-        while depth[x] > depth[y]:
-            x = par[x]
-        while depth[y] > depth[x]:
-            y = par[y]
-        while x != y:
-            x = par[x]
-            y = par[y]
-        lca = x
-        num_a, den_a = self._path_factors(a, lca)
-        num_b, den_b = self._path_factors(b, lca)
-        lhs = num_a * den_b
-        rhs = num_b * den_a
-        if lhs < rhs:
-            return -1
-        if lhs > rhs:
-            return 1
-        return 0
+        if self._lists is None:  # most trees need few or no exact compares
+            self._lists = (self.parent.tolist(), self.sizes.tolist())
+        return phi_sign(*self._lists, self.n, a, b)
 
 
 def rumor_scores(
@@ -209,24 +224,29 @@ def rumor_scores(
     """Log rumor scores plus the exact comparison handle.
 
     log phi(root) = sum over v != root of log size(v); rerooting adds
-    log(n - size) - log(size) along each edge.
+    log(n - size) - log(size) along each edge.  The comparator keeps the
+    root-relative sums and the height, both from the same pass.
     """
     sizes = _sizes_or(tree, sizes)
     n = tree.n
-    out = np.zeros(n + 1, dtype=np.float64)
+    rel = [0.0] * (n + 1)
+    root_score = 0.0
+    height = 0
     if n > 1:
         logs = np.log(sizes[2:].astype(np.float64))
         log_above = np.log((n - sizes[2:]).astype(np.float64))
         root_score = float(np.sum(logs))
         gain = (log_above - logs).tolist()
         par = tree.parent.tolist()
-        acc = [0.0] * (n + 1)
-        for v in range(2, n + 1):
-            acc[v] = acc[par[v]] + gain[v - 2]
-        out = np.array(acc, dtype=np.float64)
-        out += root_score
-        out[0] = 0.0
-    return out, RumorComparator(tree, sizes)
+        depth = [0] * (n + 1)
+        for v, p, g in zip(range(2, n + 1), par[2:], gain):
+            rel[v] = rel[p] + g
+            depth[v] = depth[p] + 1
+        height = max(depth)
+    rel = np.array(rel, dtype=np.float64)
+    out = rel + root_score
+    out[0] = 0.0
+    return out, RumorComparator(tree, sizes, rel, height)
 
 
 def betweenness_sq_scores(
@@ -294,20 +314,27 @@ def rank_vertices(
 
     ``scores`` is indexed by vertex with slot 0 unused.  Rank 1 is the
     most central vertex; ties go to the later-inserted (larger) label.
-    Rumor scores are float logs, so near-ties (within
-    ``RUMOR_TIE_BAND_PER_VERTEX * n`` in log space) are re-ordered with
-    the exact comparator before ranks are assigned.
+    Rumor vertices are sorted on the comparator's root-relative log
+    scores, which carry no O(n) root term.  Each of them errs from its
+    exact value by at most half of ``rumor_band(n, h)``, about
+    h^2 eps ln n for a tree of height h (under 1e-11 at n = 10^6), so
+    adjacent vertices further apart than the band are already in exact
+    order.  Runs of gaps within the band are re-sorted with the exact
+    comparator, except runs whose neighbours are exact ties by structure:
+    equal floats and equal subtree sizes on both sides up to the vertex
+    where their paths to the root meet, as for siblings of equal subtree
+    size.  Their path products are equal and the sort already put them
+    larger label first.
     """
     n = scores.size - 1
-    view = scores[1:]
-    order = _rank_exact(view, measure.larger_is_central)
-
     if measure.tag == "rumor":
         if comparator is None:
             raise ValueError("rumor ranking requires the exact comparator")
-        order = _fix_rumor_order(view, order, comparator)
-        tied = _rumor_tied_best(view, order, comparator)
+        order = _rank_exact(comparator.rel[1:], False)
+        tied = _resolve_rumor_ties(order, comparator)
     else:
+        view = scores[1:]
+        order = _rank_exact(view, measure.larger_is_central)
         best = view[order[0]]
         tied = tuple(sorted(int(v) for v in np.nonzero(view == best)[0] + 1))
 
@@ -321,54 +348,44 @@ def rank_vertices(
     return rank, report
 
 
-def _fix_rumor_order(
-    view: np.ndarray, order: np.ndarray, comparator: RumorComparator
-) -> np.ndarray:
-    """Re-sort runs of near-equal log scores with the exact comparator."""
-    n = view.size
-    band = RUMOR_TIE_BAND_PER_VERTEX * n
-    sorted_vals = view[order]
-    close_to_prev = np.empty(n, dtype=bool)
-    close_to_prev[0] = False
-    if n > 1:
-        close_to_prev[1:] = np.diff(sorted_vals) <= band
-    if not close_to_prev.any():
-        return order
+def _resolve_rumor_ties(order: np.ndarray, comparator: RumorComparator) -> tuple[int, ...]:
+    """Put ``order`` in exact rumor order in place; return the tied best labels."""
+    labels = order + 1
+    rel, parent, sizes = comparator.rel, comparator.parent, comparator.sizes
+    close = np.diff(rel[labels]) <= comparator.band
+    starts = np.flatnonzero(np.r_[True, ~close])
+    ends = np.r_[starts[1:], order.size]
+    # Near pairs that climb to a common vertex through equal subtree sizes
+    # have equal path products: exact ties, already larger label first
+    # when their floats are equal too.
+    near = np.flatnonzero(close)
+    x, y = labels[near], labels[near + 1]
+    climbing = np.flatnonzero((rel[x] == rel[y]) & (sizes[x] == sizes[y]))
+    twin = np.zeros(near.size, dtype=bool)
+    x, y = x[climbing], y[climbing]
+    while climbing.size:
+        x, y = parent[x], parent[y]
+        met = x == y
+        twin[climbing[met]] = True
+        keep = ~met & (sizes[x] == sizes[y])
+        climbing, x, y = climbing[keep], x[keep], y[keep]
 
     def cmp(a: int, b: int) -> int:
-        c = comparator.compare(a, b)
-        if c != 0:
-            return c
-        return b - a  # equal scores: larger label first
+        return comparator.compare(a, b) or b - a  # equal scores: larger label first
 
-    order = order.copy()
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and close_to_prev[j]:
-            j += 1
-        if j - i > 1:
-            group = sorted(
-                (int(v) + 1 for v in order[i:j]), key=functools.cmp_to_key(cmp)
-            )
-            order[i:j] = np.array(group) - 1
-        i = j
-    return order
+    hard = np.zeros(starts.size, dtype=bool)
+    hard[np.searchsorted(starts, near[~twin], side="right") - 1] = True
+    for g in np.flatnonzero(hard).tolist():
+        i, j = starts[g], ends[g]
+        group = sorted(labels[i:j].tolist(), key=functools.cmp_to_key(cmp))
+        order[i:j] = np.array(group) - 1
 
-
-def _rumor_tied_best(
-    view: np.ndarray, order: np.ndarray, comparator: RumorComparator
-) -> tuple[int, ...]:
-    band = RUMOR_TIE_BAND_PER_VERTEX * view.size
     best = int(order[0]) + 1
     tied = [best]
-    best_val = view[order[0]]
-    for k in range(1, order.size):
-        v = int(order[k]) + 1
-        if view[order[k]] - best_val > band:
+    for v in order[1 : ends[0]].tolist():
+        if comparator.compare(v + 1, best) != 0:
             break
-        if comparator.compare(v, best) == 0:
-            tied.append(v)
+        tied.append(v + 1)
     return tuple(sorted(tied))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .centrality import phi_sign, rumor_band
 from .rng import RngStream
 
 __all__ = [
@@ -38,11 +39,6 @@ ENGINE_MEASURES = ("jordan", "closeness", "rumor", "betweenness", "degree")
 # Total matrix elements allowed live per chunk (~6 int64/float64 matrices).
 _CHUNK_ELEMENT_BUDGET = 16_000_000
 _MAX_CHUNK_ROWS = 4096
-
-# Root-relative log-score gaps below this are re-resolved with exact
-# integer arithmetic.  Accumulated float error along a path is ~1e-13, far
-# inside the band, so orderings decided by the float pass are trustworthy.
-_RUMOR_EXACT_BAND = 1e-9
 
 
 def chunk_rows(n: int, reps: int) -> int:
@@ -96,33 +92,6 @@ def _last_best_index(scores: np.ndarray, larger_is_central: bool) -> np.ndarray:
     return (n - k).astype(np.int64)
 
 
-def _exact_log_ratio_sign(
-    parents: np.ndarray, sizes: np.ndarray, n: int, col: int, a: int, b: int
-) -> int:
-    """Sign of log(phi(a)) - log(phi(b)) for one replicate, exact.
-
-    phi(v)/phi(1) telescopes into the product of (n - s_w)/s_w over the
-    non-root vertices w on the root-to-v path, so the comparison reduces
-    to integer cross-multiplication of two path products.
-    """
-    num_a = den_a = num_b = den_b = 1
-    w = a
-    while w != 1:
-        s = int(sizes[w, col])
-        num_a *= n - s
-        den_a *= s
-        w = int(parents[w, col])
-    w = b
-    while w != 1:
-        s = int(sizes[w, col])
-        num_b *= n - s
-        den_b *= s
-        w = int(parents[w, col])
-    lhs = num_a * den_b
-    rhs = num_b * den_a
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def _rumor_stats(
     parents: np.ndarray, sizes: np.ndarray, logdiff: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,32 +99,35 @@ def _rumor_stats(
 
     Columns whose decision margin falls inside the exact band are redone
     with integer arithmetic; everything else is settled by the floats.
+    The band takes the worst-case height ``n - 1``, sound for any column.
     """
     body = logdiff[1:]
-    band = _RUMOR_EXACT_BAND
+    band = rumor_band(n, n - 1)
     # Root rank: vertices strictly below the band are certainly <= root;
     # the root itself always ties.  Extra borderline vertices are rare.
     rank = (body < -band).sum(axis=0).astype(np.int64) + 1
     borderline = np.abs(body) <= band
     for col in np.flatnonzero(borderline.sum(axis=0) > 1):
+        par, size = parents[:, col].tolist(), sizes[:, col].tolist()
         extra = 0
         for v in np.flatnonzero(borderline[:, col]) + 1:
             if v == 1:
                 continue
-            if _exact_log_ratio_sign(parents, sizes, n, col, int(v), 1) <= 0:
+            if phi_sign(par, size, n, int(v), 1) <= 0:
                 extra += 1
         rank[col] = int((body[:, col] < -band).sum()) + 1 + extra
 
     index = _last_best_index(logdiff, larger_is_central=False)
     near_min = body <= body.min(axis=0, keepdims=True) + band
     for col in np.flatnonzero(near_min.sum(axis=0) > 1):
+        par, size = parents[:, col].tolist(), sizes[:, col].tolist()
         best = 0
         for v in np.flatnonzero(near_min[:, col]) + 1:
             v = int(v)
             if best == 0:
                 best = v
                 continue
-            if _exact_log_ratio_sign(parents, sizes, n, col, v, best) <= 0:
+            if phi_sign(par, size, n, v, best) <= 0:
                 best = v  # ascending scan: equal or better takes the label
         index[col] = best
     return rank, index

@@ -23,6 +23,9 @@ from . import centrality as _fast
 from .tree import RecursiveTree, enumerate_recursive_trees, serialize_tree, subtree_sizes
 
 ORACLE_MAX_N = 2000
+# Allowed gap between a fast absolute rumor log score and log of the exact
+# product, per vertex: the absolute scores carry a root term of order n.
+_LOG_SCORE_TOL_PER_VERTEX = 1e-7
 
 
 class VerificationError(AssertionError):
@@ -278,10 +281,12 @@ def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
             )
         fast_ranks[measure.tag] = fast_rank
 
-    rumor_rank, _ = _fast.rank_vertices(log_fast, _fast.RUMOR, comparator)
-    want_rumor = oracle_rank(phi, False)
+    rumor_rank, rumor_report = _fast.rank_vertices(log_fast, _fast.RUMOR, comparator)
+    want_rumor, _, want_tied = _rank_generic(phi, False)
     if rumor_rank[1:].tolist() != want_rumor[1:]:
         raise VerificationError(f"rumor ranks disagree on tree {serialize_tree(tree)!r}")
+    if rumor_report.tied_center_set != want_tied:
+        raise VerificationError(f"rumor tied sets disagree on tree {serialize_tree(tree)!r}")
 
     # The two betweenness forms must rank identically.
     if fast_ranks["betweenness-sq"][1:].tolist() != fast_ranks["betweenness-pairs"][1:].tolist():
@@ -293,7 +298,7 @@ def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
 def verify_tree(tree: RecursiveTree, log_tol: float | None = None) -> None:
     """Compare every fast scorer and ranking against its oracle on one tree."""
     sizes = subtree_sizes(tree)
-    tol = log_tol if log_tol is not None else _fast.RUMOR_TIE_BAND_PER_VERTEX * tree.n
+    tol = log_tol if log_tol is not None else _LOG_SCORE_TOL_PER_VERTEX * tree.n
     _verify_one(tree, sizes, tol)
 
 

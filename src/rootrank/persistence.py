@@ -31,6 +31,7 @@ from math import isqrt as _ISQRT, log as _LOG
 
 import numpy as np
 
+from .centrality import phi_sign, rumor_band
 from .rng import RngStream
 
 __all__ = [
@@ -42,10 +43,6 @@ __all__ = [
 ]
 
 PERSISTENCE_MEASURES = ("jordan", "closeness", "rumor", "betweenness", "degree")
-
-# Rumor scores are compared through root-relative log differences; gaps
-# inside this band are settled with exact integer path products.
-_RUMOR_TOL = 1e-9
 
 _CENTROID_GROUP = ("jordan", "closeness", "rumor")
 
@@ -86,26 +83,6 @@ class TrajectoryResult:
     changed_index: dict[str, bool]
     changed_rank: dict[str, bool]
     series: dict[str, dict[str, np.ndarray]] | None = None
-
-
-def _exact_phi_sign(parent: list[int], size: list[int], m: int, a: int, b: int) -> int:
-    """Exact sign of log(phi(a)) - log(phi(b)) via integer path products."""
-    num_a = den_a = num_b = den_b = 1
-    w = a
-    while w != 1:
-        s = size[w]
-        num_a *= m - s
-        den_a *= s
-        w = parent[w]
-    w = b
-    while w != 1:
-        s = size[w]
-        num_b *= m - s
-        den_b *= s
-        w = parent[w]
-    lhs = num_a * den_b
-    rhs = num_b * den_a
-    return (lhs > rhs) - (lhs < rhs)
 
 
 class _Trajectory:
@@ -290,7 +267,8 @@ class _Trajectory:
             droot_r += _LOG(s) - _LOG(m - s)
             w = parent[w]
 
-        tol = _RUMOR_TOL
+        # Any path has at most m - 1 edges, so this band is sound for any shape.
+        tol = rumor_band(m, m - 1)
         count_c = 0
         count_r = 0
         pending: list[int] = []
@@ -307,7 +285,7 @@ class _Trajectory:
                     continue
                 s = size[w]
                 ndc = dc + (m - 2 * s)
-                ndr = dr + _LOG(m - s) - _LOG(s)
+                ndr = dr + (_LOG(m - s) - _LOG(s))
                 nin_c = in_c and ndc <= droot_c
                 nin_r = in_r and ndr <= droot_r + tol
                 if nin_c or nin_r:
@@ -319,7 +297,7 @@ class _Trajectory:
             if p and p != src:
                 s = size[v]
                 ndc = dc + (2 * s - m)
-                ndr = dr + _LOG(s) - _LOG(m - s)
+                ndr = dr + (_LOG(s) - _LOG(m - s))
                 nin_c = in_c and ndc <= droot_c
                 nin_r = in_r and ndr <= droot_r + tol
                 if nin_c or nin_r:
@@ -328,7 +306,7 @@ class _Trajectory:
                         nin_r = False
                     stack.append((p, v, ndc, ndr, nin_c, nin_r))
         for v in pending:
-            if _exact_phi_sign(parent, size, m, v, 1) <= 0:
+            if phi_sign(parent, size, m, v, 1) <= 0:
                 count_r += 1
         return count_c, count_r
 

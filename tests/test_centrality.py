@@ -12,6 +12,7 @@ checked against the brute-force oracles:
   S4 star: closeness ranking [1,4,3,2], I=1, R=1
 """
 
+import functools
 import math
 
 import numpy as np
@@ -40,14 +41,50 @@ from rootrank import (
     grow_urrt,
     jordan_scores,
     profile_csv,
+    rank_vertices,
     rumor_scores,
     subtree_sizes,
     verify_tree,
 )
-from rootrank.oracles import oracle_jordan, oracle_rank
+from rootrank.centrality import phi_sign
+from rootrank.oracles import oracle_jordan, oracle_rank, oracle_rumor
 from rootrank.tree import enumerate_recursive_trees
 
 from test_tree import compact_strategy
+
+
+def twin_compact(base: RecursiveTree) -> list[int]:
+    """Two copies of ``base`` under a new root, labels interleaved.
+
+    Vertex i of the copies becomes 2i and 2i + 1, so the tree stays
+    recursive and mirrored vertices are exact rumor ties that are not
+    siblings.
+    """
+    out = [1, 1]
+    for p in base.parent[2:].tolist():
+        out += [2 * p, 2 * p + 1]
+    return out
+
+
+@st.composite
+def adversarial_compact(draw, max_n: int = 60):
+    """Stars, paths, brooms, caterpillars and twin trees with n <= max_n."""
+    shape = draw(st.sampled_from(["star", "path", "broom", "caterpillar", "twin"]))
+    if shape == "twin":
+        base = draw(compact_strategy(max_n=(max_n - 1) // 2))
+        return twin_compact(RecursiveTree(list(base)))
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    spine = draw(st.integers(min_value=1, max_value=n))
+    if shape == "star":
+        return [1] * (n - 1)
+    if shape == "path":
+        return list(range(1, n))
+    if shape == "broom":
+        return [min(v - 1, spine) for v in range(2, n + 1)]
+    return [
+        v - 1 if v <= spine else draw(st.integers(min_value=1, max_value=spine))
+        for v in range(2, n + 1)
+    ]
 
 
 class TestFrozenScores:
@@ -135,10 +172,45 @@ class TestOracleAgreement:
         got = compute_profile(t, DEGREE).rank.tolist()
         assert got == expected
 
-    @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(compact_strategy(max_n=10))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(compact_strategy(max_n=10), adversarial_compact()))
     def test_property_small_trees(self, compact):
         verify_tree(RecursiveTree(list(compact)))
+
+    def test_rumor_twin_tree_exact_order(self):
+        # n = 20001: the float band is about 1e-12 here, far below the old
+        # per-vertex band of 2e-3, and mirrored vertices tie exactly.
+        tree = RecursiveTree(twin_compact(grow_urrt(10_000, RngStream(406))))
+        sizes = subtree_sizes(tree)
+        par, size = tree.parent.tolist(), sizes.tolist()
+
+        def cmp(a, b):
+            return phi_sign(par, size, tree.n, a, b) or b - a
+
+        want = sorted(range(1, tree.n + 1), key=functools.cmp_to_key(cmp))
+        rank = compute_profile(tree, RUMOR, sizes).rank
+        assert np.argsort(rank[1:]).tolist() == [v - 1 for v in want]
+
+    @pytest.mark.parametrize(
+        "compact,v,forge",
+        [
+            # 4 and 5 have equal sizes but parents of sizes 3 and 2: not tied
+            ([1, 1, 2, 3, 2], 5, lambda rel: rel[4]),
+            # the path's end forged onto its center: the tied set stays {2}
+            ([1, 2], 3, lambda rel: rel[2]),
+            # 2 and 3 tie exactly; a float gap inside the band must not split them
+            ([1, 1], 3, lambda rel: np.nextafter(rel[2], np.inf)),
+        ],
+    )
+    def test_rumor_forged_float_collisions(self, compact, v, forge):
+        tree = RecursiveTree(compact)
+        scores, comparator = rumor_scores(tree)
+        comparator.rel[v] = forge(comparator.rel)
+        rank, report = rank_vertices(scores, RUMOR, comparator)
+        phi = oracle_rumor(tree)
+        assert rank[1:].tolist() == oracle_rank(phi, False)[1:]
+        best = min(phi[1:])
+        assert report.tied_center_set == tuple(w for w in range(1, tree.n + 1) if phi[w] == best)
 
 
 class TestStructuralInvariants:
