@@ -8,6 +8,7 @@ from .centrality import (
     JORDAN,
     MEASURES,
     RUMOR,
+    SWEEP_MEASURES,
     CenterReport,
     CentralityProfile,
     Measure,
@@ -26,7 +27,6 @@ from .centrality import (
     rumor_scores,
 )
 from .engine import (
-    ENGINE_MEASURES,
     generate_parent_matrix,
     max_root_fraction_batch,
     rank_index_batch,
@@ -44,17 +44,15 @@ from .experiments import (
 )
 from .oracles import VerificationError, verify_exhaustive, verify_tree
 from .persistence import TrajectoryResult, default_stride, run_trajectory
-from .rng import RngStream, stream_generator
+from .rng import RngStream
 from .urns import (
     HoppeRun,
-    PolyaState,
     hoppe_run,
     max_subtree_fraction,
     polya_diagonal_hit_exact,
     polya_diagonal_hits,
     polya_final_counts,
     polya_run,
-    polya_step,
     sample_dickman,
     sample_dickman_many,
 )
@@ -62,7 +60,6 @@ from .tree import (
     EdgeListParseError,
     RecursiveTree,
     enumerate_recursive_trees,
-    grow_step,
     grow_urrt,
     num_recursive_trees,
     parse_edge_list,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,33 +39,47 @@ class ScoreOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class Measure:
-    """A centrality measure tag plus its ranking direction."""
+    """A centrality measure: its tag, ranking direction and scorer.
+
+    ``scorer(tree, sizes)`` returns the score array, or for rumor the log
+    scores and the exact comparator.  Each scorer looks its function up
+    when called, so a wrapper installed on this module's attribute (a
+    profiler's, say) sees every call.
+    """
 
     tag: str
     larger_is_central: bool
-    q: int | None = None
-
-    def __str__(self) -> str:
-        return self.tag
+    scorer: Callable = field(compare=False, repr=False)
 
 
-JORDAN = Measure("jordan", False)
-CLOSENESS = Measure("closeness", False)
-RUMOR = Measure("rumor", False)
-BETWEENNESS_SQ = Measure("betweenness-sq", False, q=2)
-BETWEENNESS_PAIRS = Measure("betweenness-pairs", True)
-DEGREE = Measure("degree", True)
+JORDAN = Measure("jordan", False, lambda t, s: jordan_scores(t, s))
+CLOSENESS = Measure("closeness", False, lambda t, s: closeness_scores(t, s))
+RUMOR = Measure("rumor", False, lambda t, s: rumor_scores(t, s))
+BETWEENNESS_SQ = Measure("betweenness-sq", False, lambda t, s: betweenness_sq_scores(t, s))
+BETWEENNESS_PAIRS = Measure("betweenness-pairs", True, lambda t, s: betweenness_pairs_scores(t, s))
+DEGREE = Measure("degree", True, lambda t, s: degree_scores(t))
 
 
 def betweenness_q(q: int) -> Measure:
     if q < 2:
         raise ValueError("q must be >= 2")
-    return Measure(f"betweenness-q{q}", False, q=q)
+    return Measure(f"betweenness-q{q}", False, lambda t, s: betweenness_sq_scores(t, s, q=q))
 
 
 MEASURES: dict[str, Measure] = {
     m.tag: m
     for m in (JORDAN, CLOSENESS, RUMOR, BETWEENNESS_SQ, BETWEENNESS_PAIRS, DEGREE)
+}
+
+# Tags of the batched sweep engine and the growth trajectories, with the
+# per-tree measure each one reproduces.  "betweenness" is the q = 2
+# component form; the pair-count form ranks identically, so it has no tag.
+SWEEP_MEASURES: dict[str, Measure] = {
+    "jordan": JORDAN,
+    "closeness": CLOSENESS,
+    "rumor": RUMOR,
+    "betweenness": BETWEENNESS_SQ,
+    "degree": DEGREE,
 }
 
 
@@ -404,22 +418,10 @@ def compute_profile(
     sizes: np.ndarray | None = None,
 ) -> CentralityProfile:
     """Scores, ranks, and center report for one measure on one tree."""
-    sizes = _sizes_or(tree, sizes)
+    scores = measure.scorer(tree, _sizes_or(tree, sizes))
     comparator = None
     if measure.tag == "rumor":
-        scores, comparator = rumor_scores(tree, sizes)
-    elif measure.tag == "jordan":
-        scores = jordan_scores(tree, sizes)
-    elif measure.tag == "closeness":
-        scores = closeness_scores(tree, sizes)
-    elif measure.tag.startswith("betweenness-q") or measure.tag == "betweenness-sq":
-        scores = betweenness_sq_scores(tree, sizes, q=measure.q or 2)
-    elif measure.tag == "betweenness-pairs":
-        scores = betweenness_pairs_scores(tree, sizes)
-    elif measure.tag == "degree":
-        scores = degree_scores(tree)
-    else:
-        raise ValueError(f"unknown measure {measure.tag!r}")
+        scores, comparator = scores
     rank, report = rank_vertices(scores, measure, comparator)
     return CentralityProfile(measure, scores, rank, report, comparator)
 

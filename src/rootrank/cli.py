@@ -25,16 +25,7 @@ from .experiments import (
 from .rng import RngStream
 from .tree import EdgeListParseError, grow_urrt, read_edge_list, serialize_tree
 
-_CENTRALITY_CHOICES = (
-    "jordan",
-    "closeness",
-    "rumor",
-    "betweenness-sq",
-    "betweenness-pairs",
-    "degree",
-    "betweenness-q",
-    "all",
-)
+_CENTRALITY_CHOICES = (*_centrality.MEASURES, "betweenness-q", "all")
 
 
 def _measure_for(choice: str, q: int) -> _centrality.Measure:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centrality import phi_sign, rumor_band
+from .centrality import SWEEP_MEASURES, phi_sign, rumor_band
 from .rng import RngStream
+from .tree import parents_from_draws
 
 __all__ = [
-    "ENGINE_MEASURES",
     "chunk_rows",
     "replicate_chunks",
     "generate_parent_matrix",
@@ -31,10 +31,6 @@ __all__ = [
     "max_root_fraction_batch",
     "rank_index_sweep_chunk",
 ]
-
-# Tags the batched kernels understand.  "betweenness" is the q=2 component
-# form; the pair-count form ranks identically so it is not duplicated here.
-ENGINE_MEASURES = ("jordan", "closeness", "rumor", "betweenness", "degree")
 
 # Total matrix elements allowed live per chunk (~6 int64/float64 matrices).
 _CHUNK_ELEMENT_BUDGET = 16_000_000
@@ -67,21 +63,39 @@ def generate_parent_matrix(
     parents = np.zeros((n + 1, rows), dtype=np.int64)
     if n == 1:
         return parents
-    scale = np.arange(1, n, dtype=np.float64)
     for j in range(rows):
         gen = RngStream(master_seed, stream_base + start + j).generator()
-        u = gen.random(n - 1)
-        parents[2:, j] = 1 + (u * scale).astype(np.int64)
+        parents[2:, j] = parents_from_draws(gen.random(n - 1))
     return parents
 
 
-def _subtree_size_matrix(parents: np.ndarray, n: int) -> np.ndarray:
+def _size_pass(
+    parents: np.ndarray, n: int, child_sq: bool = False, child_max: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Subtree sizes per column, in one bottom-up pass over the vertex rows.
+
+    The same pass also fills each vertex's sum of squared child sizes when
+    ``child_sq`` is set and its largest child size when ``child_max`` is;
+    each comes back as None otherwise.
+    """
     cols = np.arange(parents.shape[1])
+    # Allocation and free order decide how the heap is laid out once the
+    # matrices fit under malloc's dynamic mmap threshold (n = 10^3 chunks):
+    # allocating sizes last kept about 30 MB more resident over a run of chunks.
     sizes = np.ones_like(parents)
     sizes[0] = 0
+    childsq = np.zeros_like(parents) if child_sq else None
+    childmax = np.zeros_like(parents) if child_max else None
     for v in range(n, 1, -1):
-        sizes[parents[v], cols] += sizes[v]
-    return sizes
+        pv = parents[v]
+        sv = sizes[v]
+        sizes[pv, cols] += sv
+        if child_sq:
+            childsq[pv, cols] += sv * sv
+        if child_max:
+            cur = childmax[pv, cols]
+            childmax[pv, cols] = np.where(sv > cur, sv, cur)
+    return sizes, childsq, childmax
 
 
 def _last_best_index(scores: np.ndarray, larger_is_central: bool) -> np.ndarray:
@@ -90,6 +104,16 @@ def _last_best_index(scores: np.ndarray, larger_is_central: bool) -> np.ndarray:
     rev = scores[n:0:-1]
     k = np.argmax(rev, axis=0) if larger_is_central else np.argmin(rev, axis=0)
     return (n - k).astype(np.int64)
+
+
+def _rank_index(scores: np.ndarray, larger_is_central: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Root rank, with ties counted against the root, and center index per column.
+
+    Only rows 1..n of ``scores`` are read; row 0 may hold anything.
+    """
+    body, root = scores[1:], scores[1]
+    rank = (body >= root if larger_is_central else body <= root).sum(axis=0).astype(np.int64)
+    return rank, _last_best_index(scores, larger_is_central)
 
 
 def _rumor_stats(
@@ -134,7 +158,7 @@ def _rumor_stats(
 
 
 def rank_index_batch(
-    parents: np.ndarray, n: int, measures: tuple[str, ...] = ENGINE_MEASURES
+    parents: np.ndarray, n: int, measures: tuple[str, ...] = tuple(SWEEP_MEASURES)
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Root rank and center index per replicate for each measure.
 
@@ -143,7 +167,7 @@ def rank_index_batch(
     Ranks are pessimistic: ties count against the root, and tied best
     scores resolve to the largest label.
     """
-    unknown = set(measures) - set(ENGINE_MEASURES)
+    unknown = set(measures) - set(SWEEP_MEASURES)
     if unknown:
         raise ValueError(f"unknown engine measures: {sorted(unknown)}")
     rows = parents.shape[1]
@@ -159,34 +183,18 @@ def rank_index_batch(
     if need_between and 2 * (n - 1) ** 2 >= 2**63:
         raise OverflowError("betweenness batch would overflow int64")
 
-    sizes = np.ones_like(parents)
-    sizes[0] = 0
-    childsq = np.zeros_like(parents) if need_between else None
-    childmax = np.zeros_like(parents) if need_jordan else None
-    for v in range(n, 1, -1):
-        pv = parents[v]
-        sv = sizes[v]
-        sizes[pv, cols] += sv
-        if need_between:
-            childsq[pv, cols] += sv * sv
-        if need_jordan:
-            cur = childmax[pv, cols]
-            childmax[pv, cols] = np.where(sv > cur, sv, cur)
+    sizes, childsq, childmax = _size_pass(parents, n, need_between, need_jordan)
 
     if need_jordan:
         psi = np.maximum(n - sizes, childmax)
-        psi[0] = 0
-        rank = (psi[1:] <= psi[1]).sum(axis=0).astype(np.int64)
-        out["jordan"] = (rank, _last_best_index(psi, larger_is_central=False))
+        out["jordan"] = _rank_index(psi, larger_is_central=False)
         del psi, childmax
 
     if need_between:
         complement = n - sizes
         complement[1] = 0
         score = childsq + complement * complement
-        score[0] = 0
-        rank = (score[1:] <= score[1]).sum(axis=0).astype(np.int64)
-        out["betweenness"] = (rank, _last_best_index(score, larger_is_central=False))
+        out["betweenness"] = _rank_index(score, larger_is_central=False)
         del score, complement, childsq
 
     need_close = "closeness" in measures
@@ -205,11 +213,7 @@ def rank_index_batch(
             if need_rumor:
                 logdiff[v] = logdiff[pv, cols] + gain[v - 2]
         if need_close:
-            rank = (closediff[1:] <= 0).sum(axis=0).astype(np.int64)
-            out["closeness"] = (
-                rank,
-                _last_best_index(closediff, larger_is_central=False),
-            )
+            out["closeness"] = _rank_index(closediff, larger_is_central=False)
             del closediff
         if need_rumor:
             out["rumor"] = _rumor_stats(parents, sizes, logdiff, n)
@@ -220,9 +224,7 @@ def rank_index_batch(
         counts = np.bincount(flat.ravel(), minlength=(n + 1) * rows)
         degree = counts.reshape(n + 1, rows)
         degree[2:] += 1
-        degree[0] = -1
-        rank = (degree[1:] >= degree[1]).sum(axis=0).astype(np.int64)
-        out["degree"] = (rank, _last_best_index(degree, larger_is_central=True))
+        out["degree"] = _rank_index(degree, larger_is_central=True)
         del degree
 
     return {tag: out[tag] for tag in measures}
@@ -232,7 +234,7 @@ def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:
     """Largest root-subtree fraction per replicate column."""
     if n < 2:
         raise ValueError("need n >= 2")
-    sizes = _subtree_size_matrix(parents, n)
+    sizes, _, _ = _size_pass(parents, n)
     rooted = np.where(parents[2:] == 1, sizes[2:], 0)
     return rooted.max(axis=0) / float(n)
 
@@ -242,7 +244,7 @@ def rank_index_sweep_chunk(
     n: int,
     start: int,
     stop: int,
-    measures: tuple[str, ...] = ENGINE_MEASURES,
+    measures: tuple[str, ...] = tuple(SWEEP_MEASURES),
     stream_base: int = 0,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Generate one chunk of replicates and reduce it to rank/index stats."""

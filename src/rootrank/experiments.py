@@ -24,8 +24,8 @@ import numpy as np
 
 from . import persistence as _persistence
 from . import urns as _urns
+from .centrality import SWEEP_MEASURES
 from .engine import (
-    ENGINE_MEASURES,
     chunk_rows,
     generate_parent_matrix,
     max_root_fraction_batch,
@@ -80,7 +80,7 @@ class ExperimentConfig:
 
     experiment: str
     seed: int
-    measures: tuple[str, ...] = ENGINE_MEASURES
+    measures: tuple[str, ...] = tuple(SWEEP_MEASURES)
     n: tuple[int, ...] = (1_000, 10_000, 100_000)
     reps: int = 10_000
     workers: int = 1
@@ -104,7 +104,7 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        unknown = set(self.measures) - set(ENGINE_MEASURES)
+        unknown = set(self.measures) - set(SWEEP_MEASURES)
         if unknown:
             raise ConfigError(f"unknown measures: {sorted(unknown)}")
         if not self.measures:
@@ -286,7 +286,7 @@ def run_rank_index_sweep(
     seed: int,
     n: int,
     reps: int,
-    measures: tuple[str, ...] = ENGINE_MEASURES,
+    measures: tuple[str, ...] = tuple(SWEEP_MEASURES),
     workers: int = 1,
     stream_base: int = 0,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -431,7 +431,7 @@ def _persistence_records(
     results = _map_jobs(jobs, _trajectory_job, config.workers)
     records = []
     reps = config.trajectories
-    for tag in _persistence.PERSISTENCE_MEASURES:
+    for tag in SWEEP_MEASURES:
         idx_hits = sum(r.changed_index[tag] for r in results)
         rank_hits = sum(r.changed_rank[tag] for r in results)
         records.append(
@@ -455,7 +455,7 @@ def persistence_dump_csv(results: list[_persistence.TrajectoryResult]) -> str:
     for res in results:
         if res.series is None:
             raise ValueError("trajectory was run without keep_series")
-        for tag in _persistence.PERSISTENCE_MEASURES:
+        for tag in SWEEP_MEASURES:
             idx = res.series["index"][tag]
             rnk = res.series["rank"][tag]
             for pos, m in enumerate(res.checkpoints.tolist()):

@@ -31,18 +31,16 @@ from math import isqrt as _ISQRT, log as _LOG
 
 import numpy as np
 
-from .centrality import phi_sign, rumor_band
+from .centrality import SWEEP_MEASURES, phi_sign, rumor_band
 from .rng import RngStream
+from .tree import parents_from_draws
 
 __all__ = [
-    "PERSISTENCE_MEASURES",
     "TrajectoryResult",
     "default_stride",
     "checkpoint_grid",
     "run_trajectory",
 ]
-
-PERSISTENCE_MEASURES = ("jordan", "closeness", "rumor", "betweenness", "degree")
 
 _CENTROID_GROUP = ("jordan", "closeness", "rumor")
 
@@ -208,9 +206,7 @@ class _Trajectory:
         c = self.centroid
         if 2 * self.heavy_size == m:
             return max(c, self.heavy_child)
-        if c != 1 and 2 * (m - self.size[c]) == m:
-            return c  # parent is the tied twin and always has a smaller label
-        return c
+        return c  # also on a parent tie: that tied twin always has a smaller label
 
     # -- checkpoint evaluators -------------------------------------------
 
@@ -362,27 +358,20 @@ def run_trajectory(
         stride = default_stride(horizon)
     grid = checkpoint_grid(horizon, stride)
 
-    gen = rng.generator()
-    if horizon > 1:
-        u = gen.random(horizon - 1)
-        targets = 1 + (u * np.arange(1, horizon, dtype=np.float64)).astype(np.int64)
-        targets = targets.tolist()
-    else:
-        targets = []
+    targets = parents_from_draws(rng.generator().random(horizon - 1)).tolist()
 
     traj = _Trajectory(horizon)
-    measures = PERSISTENCE_MEASURES
 
-    last_idx = {t: 0 for t in measures}
-    last_rank = {t: 0 for t in measures}
+    last_idx = {t: 0 for t in SWEEP_MEASURES}
+    last_rank = {t: 0 for t in SWEEP_MEASURES}
     prev_center = 1
     prev_deg_label = 1
     prev_rank: dict[str, int] = {}
     prev_b_index = 0
 
     n_checks = len(grid)
-    series_rank = {t: np.zeros(n_checks, dtype=np.int64) for t in measures}
-    series_index = {t: np.zeros(n_checks, dtype=np.int64) for t in measures}
+    series_rank = {t: np.zeros(n_checks, dtype=np.int64) for t in SWEEP_MEASURES}
+    series_index = {t: np.zeros(n_checks, dtype=np.int64) for t in SWEEP_MEASURES}
     check_pos = 0
 
     def observe_checkpoint() -> None:
@@ -398,7 +387,7 @@ def run_trajectory(
             "degree": traj.degree_rank(),
         }
         center = traj.centroid_index()
-        for t in measures:
+        for t in SWEEP_MEASURES:
             r = ranks[t]
             if t in prev_rank and r != prev_rank[t]:
                 last_rank[t] = m
@@ -434,9 +423,9 @@ def run_trajectory(
         horizon=horizon,
         stride=stride,
         checkpoints=grid,
-        last_change_index={t: last_idx[t] for t in measures},
-        last_change_rank={t: last_rank[t] for t in measures},
-        changed_index={t: last_idx[t] > half for t in measures},
-        changed_rank={t: last_rank[t] > half for t in measures},
+        last_change_index={t: last_idx[t] for t in SWEEP_MEASURES},
+        last_change_rank={t: last_rank[t] for t in SWEEP_MEASURES},
+        changed_index={t: last_idx[t] > half for t in SWEEP_MEASURES},
+        changed_rank={t: last_rank[t] > half for t in SWEEP_MEASURES},
         series={"rank": series_rank, "index": series_index} if keep_series else None,
     )

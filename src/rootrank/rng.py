@@ -34,11 +34,3 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(self.master_seed, stream_id)
-
-
-def stream_generator(master_seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Shorthand for ``RngStream(master_seed, stream_id).generator()``."""
-    return RngStream(master_seed, stream_id).generator()

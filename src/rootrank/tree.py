@@ -30,12 +30,6 @@ class EdgeListParseError(ValueError):
         self.line = line
 
 
-def _coerce_generator(rng: np.random.Generator | RngStream) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
 class RecursiveTree:
     """Rooted labeled recursive tree with 1-based vertex labels."""
 
@@ -99,33 +93,28 @@ class RecursiveTree:
         return self.parent[2:].copy()
 
 
+def parents_from_draws(u: np.ndarray) -> np.ndarray:
+    """Parents of vertices 2..len(u)+1 from uniforms: 1 + floor(u[v-2] * (v - 1)).
+
+    Every generator in the package maps its draws through this one
+    function, so a tree, a sweep column and a trajectory grown from the
+    same stream are the same tree.
+    """
+    return 1 + (u * np.arange(1, u.size + 1, dtype=np.float64)).astype(np.int64)
+
+
 def grow_urrt(n: int, rng: np.random.Generator | RngStream) -> RecursiveTree:
     """Sample a uniform random recursive tree on n vertices.
 
-    Consumes exactly one float64 draw per vertex beyond the root, so the
-    result is identical to iterating :func:`grow_step` from the
-    single-vertex tree with the same generator.
+    Consumes exactly one float64 draw per vertex beyond the root: vertex
+    v attaches to a uniform choice among the v - 1 earlier vertices.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = _coerce_generator(rng)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
     if n == 1:
         return RecursiveTree([])
-    u = gen.random(n - 1)
-    compact = 1 + (u * np.arange(1, n, dtype=np.float64)).astype(np.int64)
-    return RecursiveTree(compact, validate=False)
-
-
-def grow_step(
-    tree: RecursiveTree, rng: np.random.Generator | RngStream
-) -> RecursiveTree:
-    """Attach one new vertex to a uniformly chosen existing vertex."""
-    gen = _coerce_generator(rng)
-    target = 1 + int(gen.random() * tree.n)
-    compact = np.empty(tree.n, dtype=np.int64)
-    compact[: tree.n - 1] = tree.parent[2:]
-    compact[tree.n - 1] = target
-    return RecursiveTree(compact, validate=False)
+    return RecursiveTree(parents_from_draws(gen.random(n - 1)), validate=False)
 
 
 def subtree_sizes(tree: RecursiveTree) -> np.ndarray:

@@ -29,21 +29,6 @@ from .tree import RecursiveTree, subtree_sizes
 _DIAGONAL_DP_MAX_HORIZON = 500
 
 
-@dataclass
-class PolyaState:
-    x: int
-    y: int
-    t: int
-
-
-def polya_step(state: PolyaState, rng: np.random.Generator) -> PolyaState:
-    """One reinforcement step: add an x ball with probability x/(x+y)."""
-    tot = state.x + state.y
-    if rng.random() * tot < state.x:
-        return PolyaState(state.x + 1, state.y, state.t + 1)
-    return PolyaState(state.x, state.y + 1, state.t + 1)
-
-
 def polya_run(
     a: int,
     steps: int,

@@ -3,8 +3,9 @@
 Each test prints a single [PASS]/[FAIL] line with the measured numbers
 before asserting, so a verbose run reads as a checklist.  The three
 Monte Carlo sweeps are shared module-scoped fixtures.  The whole module
-takes roughly ten minutes on one core, dominated by the n=10^4 and
-n=10^5 sweeps, the invariant scan, and the persistence trajectories.
+takes about six minutes (340 s) on a 2-core machine, dominated by the
+n=10^4 and n=10^5 sweeps, the invariant scan, and the persistence
+trajectories.
 
 Thresholds are asserted exactly as stated; nothing is loosened to make
 a run green.  Seeds are fixed so every number below is reproducible.

@@ -278,10 +278,12 @@ class TestBetweennessFamily:
         r_pairs = compute_profile(t, BETWEENNESS_PAIRS).rank[1:].tolist()
         assert r_sq == r_pairs
 
-    def test_q_factory_tags(self):
+    def test_q_factory_tags(self, t4):
         m = betweenness_q(5)
         assert m.tag == "betweenness-q5"
-        assert m.q == 5
+        assert not m.larger_is_central
+        scores = compute_profile(t4, m).scores
+        assert scores.tolist() == betweenness_sq_scores(t4, q=5).tolist()
 
     def test_overflow_guard(self, t4):
         with pytest.raises(ScoreOverflowError):

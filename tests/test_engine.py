@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from rootrank import (
-    ENGINE_MEASURES,
-    MEASURES,
+    SWEEP_MEASURES,
     RecursiveTree,
     RngStream,
     compute_profile,
@@ -21,15 +20,6 @@ from rootrank import (
     rank_index_batch,
 )
 from rootrank.engine import chunk_rows, rank_index_sweep_chunk, replicate_chunks
-
-ENGINE_TO_MEASURE = {
-    "jordan": MEASURES["jordan"],
-    "closeness": MEASURES["closeness"],
-    "rumor": MEASURES["rumor"],
-    "betweenness": MEASURES["betweenness-sq"],
-    "degree": MEASURES["degree"],
-}
-
 
 def _column_tree(parents, j):
     return RecursiveTree(parents[2:, j].tolist())
@@ -86,7 +76,7 @@ class TestAgreementWithPerTree:
         got = rank_index_batch(parents, n)
         for j in range(reps):
             tree = _column_tree(parents, j)
-            for tag, measure in ENGINE_TO_MEASURE.items():
+            for tag, measure in SWEEP_MEASURES.items():
                 ranks, indexes = got[tag]
                 report = compute_profile(tree, measure).report
                 assert ranks[j] == report.root_rank, (tag, n, j)
@@ -95,7 +85,7 @@ class TestAgreementWithPerTree:
     def test_n_one_all_ones(self):
         parents = generate_parent_matrix(5, 1, 0, 6)
         got = rank_index_batch(parents, 1)
-        for tag in ENGINE_MEASURES:
+        for tag in SWEEP_MEASURES:
             ranks, indexes = got[tag]
             assert ranks.tolist() == [1] * 6
             assert indexes.tolist() == [1] * 6
@@ -118,7 +108,7 @@ class TestAgreementWithPerTree:
         direct = rank_index_sweep_chunk(17, 33, 5, 15, stream_base=64)
         parents = generate_parent_matrix(17, 33, 5, 15, stream_base=64)
         via = rank_index_batch(parents, 33)
-        for tag in ENGINE_MEASURES:
+        for tag in SWEEP_MEASURES:
             assert direct[tag][0].tolist() == via[tag][0].tolist()
             assert direct[tag][1].tolist() == via[tag][1].tolist()
 
@@ -162,5 +152,5 @@ class TestTieSemantics:
             ranks, indexes = got[tag]
             assert indexes[0] == 3, tag
             assert ranks[0] == compute_profile(
-                _column_tree(parents, 0), ENGINE_TO_MEASURE[tag]
+                _column_tree(parents, 0), SWEEP_MEASURES[tag]
             ).report.root_rank

@@ -1,0 +1,49 @@
+"""Output bytes pinned across commits.
+
+Criterion 14 compares outputs of one commit under different worker
+counts; these hashes tie the sweep CSV, the persistence CSV and the
+``centrality --measure all`` output to fixed values, so a refactor that
+changes a single byte of them fails here.  The values were taken before
+the measure registry, the draw-to-parent map and the engine's size pass
+were each moved to one place.
+"""
+
+import hashlib
+
+from rootrank import ExperimentConfig, RngStream, grow_urrt, run_experiment, write_edge_list
+from rootrank.cli import main
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_sweep_csv_bytes():
+    config = ExperimentConfig(
+        experiment="root-center-probability", seed=5, n=(50, 200), reps=300
+    )
+    assert _sha256(run_experiment(config)[0].csv_text()) == (
+        "b93aaf7c1f39d24856ccf7b4d6926f45bc1316c80a0544784fe19d3f2652c23b"
+    )
+
+
+def test_persistence_csv_bytes():
+    config = ExperimentConfig(
+        experiment="persistence", seed=5, horizon=512, stride=16, trajectories=8
+    )
+    assert _sha256(run_experiment(config)[0].csv_text()) == (
+        "498c7eec5ca88c14d8faeac062191bb4520b1ea0951e380dbd1a48aadf0488d2"
+    )
+
+
+def test_centrality_all_bytes(capsys, tmp_path, monkeypatch):
+    # Relative paths keep the CSV's metadata line free of the temp directory.
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(grow_urrt(300, RngStream(5)), "tree.txt")
+    assert main(["centrality", "--in", "tree.txt", "--out", "profile.csv"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "5343113af6e85199e884a33293969dc5eee72e93b4d0de50909fba6c15b2b9f4"
+    )
+    assert _sha256((tmp_path / "profile.csv").read_text()) == (
+        "bc5a94c11938d4be5d0c1eff2bb3f0f7bf062b59a06421614550ffbff4c90506"
+    )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rootrank import (
-    MEASURES,
+    SWEEP_MEASURES,
     RecursiveTree,
     RngStream,
     compute_profile,
@@ -17,19 +17,7 @@ from rootrank import (
     jordan_scores,
     run_trajectory,
 )
-from rootrank.persistence import (
-    PERSISTENCE_MEASURES,
-    checkpoint_grid,
-    default_stride,
-)
-
-MEASURE_OF = {
-    "jordan": MEASURES["jordan"],
-    "closeness": MEASURES["closeness"],
-    "rumor": MEASURES["rumor"],
-    "betweenness": MEASURES["betweenness-sq"],
-    "degree": MEASURES["degree"],
-}
+from rootrank.persistence import checkpoint_grid, default_stride
 
 
 def _replay_targets(horizon, seed, rep):
@@ -73,7 +61,7 @@ class TestStepwiseAgreement:
         assert res.checkpoints.tolist() == list(range(1, horizon + 1))
         for pos, m in enumerate(res.checkpoints.tolist()):
             tree = _prefix_tree(targets, m)
-            for tag, measure in MEASURE_OF.items():
+            for tag, measure in SWEEP_MEASURES.items():
                 report = compute_profile(tree, measure).report
                 assert res.series["rank"][tag][pos] == report.root_rank, (tag, m)
                 assert res.series["index"][tag][pos] == report.center_index, (tag, m)
@@ -82,7 +70,7 @@ class TestStepwiseAgreement:
         horizon = 500
         res = run_trajectory(horizon, RngStream(77, 5), stride=500, keep_series=True)
         tree = grow_urrt(horizon, RngStream(77, 5))
-        for tag, measure in MEASURE_OF.items():
+        for tag, measure in SWEEP_MEASURES.items():
             report = compute_profile(tree, measure).report
             assert res.series["rank"][tag][0] == report.root_rank
             assert res.series["index"][tag][0] == report.center_index
@@ -93,7 +81,7 @@ class TestStepwiseAgreement:
         targets = _replay_targets(horizon, 44, 1)
         for pos, m in enumerate(res.checkpoints.tolist()):
             tree = _prefix_tree(targets, m)
-            for tag, measure in MEASURE_OF.items():
+            for tag, measure in SWEEP_MEASURES.items():
                 report = compute_profile(tree, measure).report
                 assert res.series["rank"][tag][pos] == report.root_rank, (tag, m)
                 assert res.series["index"][tag][pos] == report.center_index, (tag, m)
@@ -132,7 +120,7 @@ class TestChangeTracking:
     def test_flags_match_last_change_times(self):
         res = run_trajectory(3_000, RngStream(52, 9), stride=10)
         half = 1_500
-        for tag in PERSISTENCE_MEASURES:
+        for tag in SWEEP_MEASURES:
             li = res.last_change_index[tag]
             lr = res.last_change_rank[tag]
             assert 0 <= li <= 3_000
@@ -142,7 +130,7 @@ class TestChangeTracking:
 
     def test_rank_changes_match_series(self):
         res = run_trajectory(600, RngStream(53, 2), stride=4, keep_series=True)
-        for tag in PERSISTENCE_MEASURES:
+        for tag in SWEEP_MEASURES:
             ranks = res.series["rank"][tag]
             moved = np.nonzero(ranks[1:] != ranks[:-1])[0]
             expect = int(res.checkpoints[moved[-1] + 1]) if moved.size else 0
@@ -150,7 +138,7 @@ class TestChangeTracking:
 
     def test_index_changes_match_series_for_betweenness(self):
         res = run_trajectory(600, RngStream(54, 3), stride=1, keep_series=True)
-        for tag in PERSISTENCE_MEASURES:
+        for tag in SWEEP_MEASURES:
             idx = res.series["index"][tag]
             moved = np.nonzero(idx[1:] != idx[:-1])[0]
             expect = int(res.checkpoints[moved[-1] + 1]) if moved.size else 0
@@ -159,7 +147,7 @@ class TestChangeTracking:
     def test_horizon_one(self):
         res = run_trajectory(1, RngStream(1, 0), keep_series=True)
         assert res.checkpoints.tolist() == [1]
-        for tag in PERSISTENCE_MEASURES:
+        for tag in SWEEP_MEASURES:
             assert res.series["rank"][tag].tolist() == [1]
             assert res.series["index"][tag].tolist() == [1]
             assert res.last_change_index[tag] == 0

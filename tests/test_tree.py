@@ -10,7 +10,6 @@ from rootrank import (
     RecursiveTree,
     RngStream,
     enumerate_recursive_trees,
-    grow_step,
     grow_urrt,
     num_recursive_trees,
     parse_edge_list,
@@ -72,16 +71,6 @@ class TestGrowth:
 
     def test_streams_differ(self):
         assert grow_urrt(100, RngStream(7, 0)) != grow_urrt(100, RngStream(7, 1))
-
-    def test_grow_step_matches_grow_urrt(self):
-        # one attachment draw per vertex, so iterating grow_step replays
-        # the same tree as the one-shot generator on a fresh stream
-        full = grow_urrt(60, RngStream(123, 4))
-        gen = RngStream(123, 4).generator()
-        t = RecursiveTree([])
-        for _ in range(59):
-            t = grow_step(t, gen)
-        assert t == full
 
     def test_batched_generation_matches(self):
         mat = generate_parent_matrix(99, 40, 0, 8)

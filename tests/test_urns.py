@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from rootrank import (
-    PolyaState,
     RngStream,
     hoppe_run,
     max_subtree_fraction,
@@ -18,7 +17,6 @@ from rootrank import (
     polya_diagonal_hits,
     polya_final_counts,
     polya_run,
-    polya_step,
     sample_dickman,
     sample_dickman_many,
 )
@@ -64,12 +62,6 @@ class TestPolya:
         for t, x, y in rows.tolist():
             assert x + y == 2 + 1 + t
             assert x >= 2 and y >= 1
-
-    def test_step_is_pure(self):
-        state = PolyaState(x=3, y=2, t=7)
-        nxt = polya_step(state, RngStream(5).generator())
-        assert state == PolyaState(x=3, y=2, t=7)
-        assert nxt.t == 8 and nxt.x + nxt.y == 6
 
     def test_vectorized_matches_scalar_runs(self):
         finals = polya_final_counts(2, 300, _gens(11, 40))
