@@ -19,7 +19,6 @@ from .centrality import (
     betweenness_sq_scores,
     closeness_scores,
     compute_profile,
-    confidence_set,
     degree_scores,
     jordan_scores,
     profile_csv,
@@ -66,7 +65,6 @@ from .tree import (
     read_edge_list,
     serialize_tree,
     subtree_sizes,
-    tree_index,
     write_edge_list,
 )
 

@@ -403,15 +403,6 @@ def _resolve_rumor_ties(order: np.ndarray, comparator: RumorComparator) -> tuple
     return tuple(sorted(tied))
 
 
-def confidence_set(rank: np.ndarray, k: int) -> np.ndarray:
-    """Labels of the k most central vertices (rank <= k), ordered by rank."""
-    n = rank.size - 1
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    labels = np.nonzero(rank[1:] <= k)[0] + 1
-    return labels[np.argsort(rank[labels])]
-
-
 def compute_profile(
     tree: RecursiveTree,
     measure: Measure,

@@ -5,8 +5,12 @@ implementation.  For Monte Carlo estimates we need root-rank and
 center-index statistics over tens of thousands of independent trees, and
 looping the per-tree code is too slow in pure Python.  This module grows
 whole batches of trees at once: replicates are laid out as columns of an
-``(n + 1, rows)`` matrix and every structural pass becomes a loop over
-vertex columns with vectorized row operations.
+``(n + 1, rows)`` matrix.  Subtree sizes come from one bottom-up loop over
+the vertex rows with vectorized column operations, and the centroid and
+degree statistics from whole-matrix reductions.  The other root ranks, and
+the betweenness index, come from the local walks of :mod:`rootrank.walks`
+that the growth trajectories use too: per column they visit only the few
+vertices around the centroid, so no score matrix is built but degree's.
 
 Replicate ``i`` of a sweep uses the Philox stream ``stream_base + i`` and
 draws exactly the same uniforms as ``grow_urrt`` would on that stream, so
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centrality import SWEEP_MEASURES, phi_sign, rumor_band
+from .centrality import SWEEP_MEASURES
 from .rng import RngStream
 from .tree import parents_from_draws
+from .walks import ball_ranks, betweenness_stats, jordan_rank
 
 __all__ = [
     "chunk_rows",
@@ -32,9 +37,13 @@ __all__ = [
     "rank_index_sweep_chunk",
 ]
 
-# Total matrix elements allowed live per chunk (~6 int64/float64 matrices).
+# Elements of one (n + 1) x rows int64 matrix of a chunk.  At most three are
+# live at once: the parents with degree's bincount input and counts, then
+# the parents and sizes during the walks.
 _CHUNK_ELEMENT_BUDGET = 16_000_000
 _MAX_CHUNK_ROWS = 4096
+# Elements per block of columns copied contiguous for the walks (8 MB of int64).
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def chunk_rows(n: int, reps: int) -> int:
@@ -69,92 +78,41 @@ def generate_parent_matrix(
     return parents
 
 
-def _size_pass(
-    parents: np.ndarray, n: int, child_sq: bool = False, child_max: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Subtree sizes per column, in one bottom-up pass over the vertex rows.
-
-    The same pass also fills each vertex's sum of squared child sizes when
-    ``child_sq`` is set and its largest child size when ``child_max`` is;
-    each comes back as None otherwise.
-    """
+def _size_pass(parents: np.ndarray, n: int) -> np.ndarray:
+    """Subtree sizes per column, in one bottom-up pass over the vertex rows."""
     cols = np.arange(parents.shape[1])
-    # Allocation and free order decide how the heap is laid out once the
-    # matrices fit under malloc's dynamic mmap threshold (n = 10^3 chunks):
-    # allocating sizes last kept about 30 MB more resident over a run of chunks.
     sizes = np.ones_like(parents)
     sizes[0] = 0
-    childsq = np.zeros_like(parents) if child_sq else None
-    childmax = np.zeros_like(parents) if child_max else None
     for v in range(n, 1, -1):
-        pv = parents[v]
-        sv = sizes[v]
-        sizes[pv, cols] += sv
-        if child_sq:
-            childsq[pv, cols] += sv * sv
-        if child_max:
-            cur = childmax[pv, cols]
-            childmax[pv, cols] = np.where(sv > cur, sv, cur)
-    return sizes, childsq, childmax
+        sizes[parents[v], cols] += sizes[v]
+    return sizes
 
 
-def _last_best_index(scores: np.ndarray, larger_is_central: bool) -> np.ndarray:
-    """Per column: best score over vertices 1..n, largest label on ties."""
-    n = scores.shape[0] - 1
-    rev = scores[n:0:-1]
-    k = np.argmax(rev, axis=0) if larger_is_central else np.argmin(rev, axis=0)
-    return (n - k).astype(np.int64)
-
-
-def _rank_index(scores: np.ndarray, larger_is_central: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Root rank, with ties counted against the root, and center index per column.
-
-    Only rows 1..n of ``scores`` are read; row 0 may hold anything.
-    """
-    body, root = scores[1:], scores[1]
-    rank = (body >= root if larger_is_central else body <= root).sum(axis=0).astype(np.int64)
-    return rank, _last_best_index(scores, larger_is_central)
-
-
-def _rumor_stats(
-    parents: np.ndarray, sizes: np.ndarray, logdiff: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Root rank and center index from root-relative log scores.
-
-    Columns whose decision margin falls inside the exact band are redone
-    with integer arithmetic; everything else is settled by the floats.
-    The band takes the worst-case height ``n - 1``, sound for any column.
-    """
-    body = logdiff[1:]
-    band = rumor_band(n, n - 1)
-    # Root rank: vertices strictly below the band are certainly <= root;
-    # the root itself always ties.  Extra borderline vertices are rare.
-    rank = (body < -band).sum(axis=0).astype(np.int64) + 1
-    borderline = np.abs(body) <= band
-    for col in np.flatnonzero(borderline.sum(axis=0) > 1):
-        par, size = parents[:, col].tolist(), sizes[:, col].tolist()
-        extra = 0
-        for v in np.flatnonzero(borderline[:, col]) + 1:
-            if v == 1:
-                continue
-            if phi_sign(par, size, n, int(v), 1) <= 0:
-                extra += 1
-        rank[col] = int((body[:, col] < -band).sum()) + 1 + extra
-
-    index = _last_best_index(logdiff, larger_is_central=False)
-    near_min = body <= body.min(axis=0, keepdims=True) + band
-    for col in np.flatnonzero(near_min.sum(axis=0) > 1):
-        par, size = parents[:, col].tolist(), sizes[:, col].tolist()
-        best = 0
-        for v in np.flatnonzero(near_min[:, col]) + 1:
-            v = int(v)
-            if best == 0:
-                best = v
-                continue
-            if phi_sign(par, size, n, v, best) <= 0:
-                best = v  # ascending scan: equal or better takes the label
-        index[col] = best
+def _degree_stats(parents: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree root rank, ties counted against the root, and center index per column."""
+    rows = parents.shape[1]
+    flat = parents[2:] * rows + np.arange(rows)
+    degree = np.bincount(flat.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
+    del flat
+    degree[2:] += 1
+    rank = (degree[1:] >= degree[1]).sum(axis=0).astype(np.int64)
+    index = n - np.argmax(degree[n:0:-1], axis=0)  # largest label on ties
     return rank, index
+
+
+_WALKED = ("jordan", "closeness", "rumor", "betweenness")
+
+
+class _Children(dict):
+    """Children of each vertex of one parent column, found on first use."""
+
+    def __init__(self, column: np.ndarray):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, v: int) -> list[int]:
+        kids = self[v] = (self.column == v).nonzero()[0].tolist()
+        return kids
 
 
 def rank_index_batch(
@@ -171,62 +129,52 @@ def rank_index_batch(
     if unknown:
         raise ValueError(f"unknown engine measures: {sorted(unknown)}")
     rows = parents.shape[1]
-    cols = np.arange(rows)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
     if n == 1:
         ones = np.ones(rows, dtype=np.int64)
         return {tag: (ones.copy(), ones.copy()) for tag in measures}
 
-    need_jordan = "jordan" in measures
-    need_between = "betweenness" in measures
-    if need_between and 2 * (n - 1) ** 2 >= 2**63:
-        raise OverflowError("betweenness batch would overflow int64")
-
-    sizes, childsq, childmax = _size_pass(parents, n, need_between, need_jordan)
-
-    if need_jordan:
-        psi = np.maximum(n - sizes, childmax)
-        out["jordan"] = _rank_index(psi, larger_is_central=False)
-        del psi, childmax
-
-    if need_between:
-        complement = n - sizes
-        complement[1] = 0
-        score = childsq + complement * complement
-        out["betweenness"] = _rank_index(score, larger_is_central=False)
-        del score, complement, childsq
-
-    need_close = "closeness" in measures
-    need_rumor = "rumor" in measures
-    if need_close or need_rumor:
-        closediff = np.zeros_like(parents) if need_close else None
-        logdiff = np.zeros((n + 1, rows), dtype=np.float64) if need_rumor else None
-        if need_rumor:
-            with np.errstate(divide="ignore"):
-                gain = np.log((n - sizes[2:]).astype(np.float64))
-                gain -= np.log(sizes[2:].astype(np.float64))
-        for v in range(2, n + 1):
-            pv = parents[v]
-            if need_close:
-                closediff[v] = closediff[pv, cols] + (n - 2 * sizes[v])
-            if need_rumor:
-                logdiff[v] = logdiff[pv, cols] + gain[v - 2]
-        if need_close:
-            out["closeness"] = _rank_index(closediff, larger_is_central=False)
-            del closediff
-        if need_rumor:
-            out["rumor"] = _rumor_stats(parents, sizes, logdiff, n)
-            del logdiff
-
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    # Degree goes first, and its matrices are freed before the size pass:
+    # that keeps the peak at three matrices.  The order also decides how
+    # much freed heap stays resident once the matrices fit under malloc's
+    # dynamic mmap threshold (n = 10^3 chunks): with the size pass first,
+    # and the same peak of live matrices, about 30 MB more stayed resident.
     if "degree" in measures:
-        flat = parents[2:].astype(np.int64) * rows + cols
-        counts = np.bincount(flat.ravel(), minlength=(n + 1) * rows)
-        degree = counts.reshape(n + 1, rows)
-        degree[2:] += 1
-        out["degree"] = _rank_index(degree, larger_is_central=True)
-        del degree
+        out["degree"] = _degree_stats(parents, n)
+    walked = [tag for tag in measures if tag in _WALKED]
+    if not walked:
+        return out
 
+    sizes = _size_pass(parents, n)
+    rank = {tag: np.empty(rows, dtype=np.int64) for tag in _WALKED}
+    center = np.empty(rows, dtype=np.int64)
+    between_index = np.empty(rows, dtype=np.int64)
+    ball = "closeness" in measures or "rumor" in measures
+    block = max(1, _BLOCK_ELEMENTS // (n + 1))
+    for lo in range(0, rows, block):
+        columns = np.ascontiguousarray(parents[:, lo : lo + block].T)
+        column_sizes = np.ascontiguousarray(sizes[:, lo : lo + block].T)
+        # Vertices with 2 s(v) > n form the path from the root to the
+        # centroid, and labels grow along it, so its largest label is the
+        # centroid.  The one vertex with 2 s(v) = n, if any, is the tied
+        # twin centroid and its child.  The centroid set is the center set
+        # of jordan, closeness and rumor, whose index takes the larger label.
+        rev = column_sizes[:, n:0:-1]
+        center[lo : lo + block] = n - np.argmax(rev >= (n + 1) // 2, axis=1)  # 2 s >= n
+        starts = (n - np.argmax(rev > n // 2, axis=1)).tolist()  # 2 s > n
+        for j, column, size, c in zip(range(lo, rows), columns, column_sizes, starts):
+            children = _Children(column)
+            size = size.tolist()
+            if "jordan" in measures:
+                rank["jordan"][j] = jordan_rank(children, size, n)
+            if ball:
+                rank["closeness"][j], rank["rumor"][j] = ball_ranks(
+                    column.tolist(), size, children, n, c
+                )
+            if "betweenness" in measures:
+                rank["betweenness"][j], between_index[j] = betweenness_stats(children, size, n)
+    for tag in walked:
+        out[tag] = (rank[tag], between_index if tag == "betweenness" else center.copy())
     return {tag: out[tag] for tag in measures}
 
 
@@ -234,7 +182,7 @@ def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:
     """Largest root-subtree fraction per replicate column."""
     if n < 2:
         raise ValueError("need n >= 2")
-    sizes, _, _ = _size_pass(parents, n)
+    sizes = _size_pass(parents, n)
     rooted = np.where(parents[2:] == 1, sizes[2:], 0)
     return rooted.max(axis=0) / float(n)
 

@@ -14,26 +14,26 @@ is split by what each statistic needs:
   centroid, its heaviest child, and the degree leader are maintained in
   O(depth) per step, giving exact per-step change times for I_m.
 * Root ranks (and the betweenness index) are evaluated at checkpoints,
-  every ``stride`` steps, by walking only the relevant neighborhood:
-  vertices at least as central as the root form a small connected region
-  around the centroid, so each evaluation touches O(R_m) vertices, not
-  O(m).
+  every ``stride`` steps, by the local walks of :mod:`rootrank.walks`,
+  which the batch engine shares: vertices at least as central as the
+  root form a small connected region around the centroid, so each
+  evaluation touches O(R_m) vertices, not O(m).
 
-All scores here are relative; none of the evaluators recompute a full
-profile.  Agreement with :mod:`rootrank.centrality` at every step is
-enforced by tests on small horizons.
+No checkpoint recomputes a full profile.  Agreement with
+:mod:`rootrank.centrality` at every step is enforced by tests on small
+horizons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt as _ISQRT, log as _LOG
 
 import numpy as np
 
-from .centrality import SWEEP_MEASURES, phi_sign, rumor_band
+from .centrality import SWEEP_MEASURES
 from .rng import RngStream
 from .tree import parents_from_draws
+from .walks import ball_ranks, betweenness_stats, jordan_rank
 
 __all__ = [
     "TrajectoryResult",
@@ -90,7 +90,6 @@ class _Trajectory:
         "m",
         "parent",
         "size",
-        "childsq",
         "children",
         "deg",
         "hist",
@@ -107,7 +106,6 @@ class _Trajectory:
         self.parent = [0] * cap
         self.size = [0] * cap
         self.size[1] = 1
-        self.childsq = [0] * cap
         self.children: list[list[int]] = [[] for _ in range(cap)]
         self.deg = [0] * cap
         self.hist = [1]  # degree histogram over live vertices
@@ -133,7 +131,6 @@ class _Trajectory:
         """Attach a new vertex to ``target`` and update all tracked state."""
         size = self.size
         parent = self.parent
-        childsq = self.childsq
         deg = self.deg
         hist = self.hist
         new = self.m + 1
@@ -141,7 +138,6 @@ class _Trajectory:
         parent[new] = target
         size[new] = 1
         self.children[target].append(new)
-        childsq[target] += 1
 
         if len(hist) < 2:
             hist.append(0)
@@ -170,13 +166,9 @@ class _Trajectory:
         while w:
             if w == c:
                 path_child = prev
-            s = size[w] + 1
-            size[w] = s
-            p = parent[w]
-            if p:
-                childsq[p] += s + s - 1
+            size[w] += 1
             prev = w
-            w = p
+            w = parent[w]
         m = new
         self.m = m
 
@@ -207,134 +199,6 @@ class _Trajectory:
         if 2 * self.heavy_size == m:
             return max(c, self.heavy_child)
         return c  # also on a parent tie: that tied twin always has a smaller label
-
-    # -- checkpoint evaluators -------------------------------------------
-
-    def jordan_rank(self) -> int:
-        """Count v with max(m - size(v), max child size) <= psi(root).
-
-        Vertices with size(v) >= m - psi(root) form an up-closed cone
-        around the root; only inside it can the complement component stay
-        small enough, so the walk prunes everything else.
-        """
-        m = self.m
-        size = self.size
-        children = self.children
-        psi_root = 0
-        for ch in children[1]:
-            s = size[ch]
-            if s > psi_root:
-                psi_root = s
-        s_min = m - psi_root
-        count = 0
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            ok = True
-            for ch in children[v]:
-                s = size[ch]
-                if s >= s_min:
-                    stack.append(ch)
-                if s > psi_root:
-                    ok = False
-            if ok:
-                count += 1
-        return count
-
-    def _root_ball_rank(self) -> tuple[int, int]:
-        """(closeness rank, rumor rank) via one ball walk from the centroid.
-
-        Both scores increase weakly along any path leaving the centroid,
-        so every vertex at least as central as the root lies inside the
-        region where the running diff stays at or below the root's diff.
-        """
-        m = self.m
-        size = self.size
-        parent = self.parent
-        children = self.children
-        c = self.centroid
-
-        droot_c = 0
-        droot_r = 0.0
-        w = c
-        while w != 1:
-            s = size[w]
-            droot_c += 2 * s - m
-            droot_r += _LOG(s) - _LOG(m - s)
-            w = parent[w]
-
-        # Any path has at most m - 1 edges, so this band is sound for any shape.
-        tol = rumor_band(m, m - 1)
-        count_c = 0
-        count_r = 0
-        pending: list[int] = []
-        # (vertex, came_from, closeness diff, rumor log diff, c in ball, r in ball)
-        stack = [(c, 0, 0, 0.0, True, True)]
-        while stack:
-            v, src, dc, dr, in_c, in_r = stack.pop()
-            if in_c:
-                count_c += 1
-            if in_r:
-                count_r += 1
-            for w in children[v]:
-                if w == src:
-                    continue
-                s = size[w]
-                ndc = dc + (m - 2 * s)
-                ndr = dr + (_LOG(m - s) - _LOG(s))
-                nin_c = in_c and ndc <= droot_c
-                nin_r = in_r and ndr <= droot_r + tol
-                if nin_c or nin_r:
-                    if nin_r and ndr >= droot_r - tol:
-                        pending.append(w)
-                        nin_r = False
-                    stack.append((w, v, ndc, ndr, nin_c, nin_r))
-            p = parent[v]
-            if p and p != src:
-                s = size[v]
-                ndc = dc + (2 * s - m)
-                ndr = dr + (_LOG(s) - _LOG(m - s))
-                nin_c = in_c and ndc <= droot_c
-                nin_r = in_r and ndr <= droot_r + tol
-                if nin_c or nin_r:
-                    if nin_r and ndr >= droot_r - tol:
-                        pending.append(p)
-                        nin_r = False
-                    stack.append((p, v, ndc, ndr, nin_c, nin_r))
-        for v in pending:
-            if phi_sign(parent, size, m, v, 1) <= 0:
-                count_r += 1
-        return count_c, count_r
-
-    def betweenness_stats(self) -> tuple[int, int]:
-        """(rank, index): exhaustive over the small candidate cone.
-
-        Any v with score <= score(root) satisfies (m - size(v))^2 <=
-        childsq(root), so candidates form an up-closed set reachable from
-        the root by descending while sizes stay large enough.
-        """
-        m = self.m
-        size = self.size
-        childsq = self.childsq
-        children = self.children
-        root_score = childsq[1]
-        s_min = m - _ISQRT(root_score)
-        rank = 0
-        best_score = root_score
-        best_label = 1
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            score = childsq[v] if v == 1 else childsq[v] + (m - size[v]) ** 2
-            if score <= root_score:
-                rank += 1
-            if score < best_score or (score == best_score and v > best_label):
-                best_score = score
-                best_label = v
-            for ch in children[v]:
-                if size[ch] >= s_min:
-                    stack.append(ch)
-        return rank, best_label
 
     def degree_rank(self) -> int:
         hist = self.hist
@@ -377,10 +241,11 @@ def run_trajectory(
     def observe_checkpoint() -> None:
         nonlocal check_pos, prev_b_index
         m = traj.m
-        rank_c, rank_r = traj._root_ball_rank()
-        rank_b, index_b = traj.betweenness_stats()
+        size, children = traj.size, traj.children
+        rank_c, rank_r = ball_ranks(traj.parent, size, children, m, traj.centroid)
+        rank_b, index_b = betweenness_stats(children, size, m)
         ranks = {
-            "jordan": traj.jordan_rank(),
+            "jordan": jordan_rank(children, size, m),
             "closeness": rank_c,
             "rumor": rank_r,
             "betweenness": rank_b,

@@ -15,7 +15,7 @@ n^2 terms appear downstream.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class RecursiveTree:
             ]
             object.__setattr__(self, "_children", cached)
         return cached
-
-    def compact_parents(self) -> np.ndarray:
-        return self.parent[2:].copy()
 
 
 def parents_from_draws(u: np.ndarray) -> np.ndarray:
@@ -202,15 +199,3 @@ def num_recursive_trees(n: int) -> int:
         out *= v - 1
     return out
 
-
-def tree_index(tree: RecursiveTree) -> int:
-    """Mixed-radix rank of the tree among all trees on n vertices.
-
-    Bijection onto [0, (n-1)!), matching enumeration order of
-    :func:`enumerate_recursive_trees`.
-    """
-    idx = 0
-    par = tree.parent
-    for v in range(2, tree.n + 1):
-        idx = idx * (v - 1) + (int(par[v]) - 1)
-    return idx

@@ -1,0 +1,141 @@
+"""Root ranks by local walks around the centroid.
+
+A root rank counts the vertices at least as central as the root.  For
+jordan, closeness, rumor and betweenness those vertices form a small
+connected region at the centroid, the root-finding sets of Bubeck,
+Devroye and Lugosi ("Finding Adam in random growing trees", 2017), so
+each rank is found by walking that region instead of scoring all m
+vertices.  The growth trajectories call these walks on the children
+lists they keep step by step, and the batch engine calls them on
+children found from one parent column on demand.
+
+Every walk reads ``children[v]``, the children of v, and ``size[v]``,
+the subtree sizes, as Python ints; the ball walk also reads
+``parent[v]``.  Scores are exact Python integers, so none can overflow.
+"""
+
+from __future__ import annotations
+
+from math import isqrt, log
+
+from .centrality import phi_sign, rumor_band
+
+__all__ = ["jordan_rank", "ball_ranks", "betweenness_stats"]
+
+
+def jordan_rank(children, size, m: int) -> int:
+    """Count v with max(m - size(v), max child size) <= psi(root).
+
+    Vertices with size(v) >= m - psi(root) form an up-closed cone
+    around the root; only inside it can the complement component stay
+    small enough, so the walk prunes everything else.
+    """
+    psi_root = max((size[ch] for ch in children[1]), default=0)
+    s_min = m - psi_root
+    count = 0
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        ok = True
+        for ch in children[v]:
+            s = size[ch]
+            if s >= s_min:
+                stack.append(ch)
+            if s > psi_root:
+                ok = False
+        if ok:
+            count += 1
+    return count
+
+
+def ball_ranks(parent, size, children, m: int, c: int) -> tuple[int, int]:
+    """(closeness rank, rumor rank) via one ball walk from centroid ``c``.
+
+    Both scores increase weakly along any path leaving the centroid,
+    so every vertex at least as central as the root lies inside the
+    region where the running diff stays at or below the root's diff.
+    Rumor diffs within the float band of the root's are settled by
+    ``phi_sign``.  Either centroid of a tied pair gives the same ranks.
+    """
+    droot_c = 0
+    droot_r = 0.0
+    w = c
+    while w != 1:
+        s = size[w]
+        droot_c += 2 * s - m
+        droot_r += log(s) - log(m - s)
+        w = parent[w]
+
+    # Any path has at most m - 1 edges, so this band is sound for any shape.
+    tol = rumor_band(m, m - 1)
+    count_c = 0
+    count_r = 0
+    pending: list[int] = []
+    # (vertex, came_from, closeness diff, rumor log diff, c in ball, r in ball)
+    stack = [(c, 0, 0, 0.0, True, True)]
+    while stack:
+        v, src, dc, dr, in_c, in_r = stack.pop()
+        if in_c:
+            count_c += 1
+        if in_r:
+            count_r += 1
+        for w in children[v]:
+            if w == src:
+                continue
+            s = size[w]
+            ndc = dc + (m - 2 * s)
+            ndr = dr + (log(m - s) - log(s))
+            nin_c = in_c and ndc <= droot_c
+            nin_r = in_r and ndr <= droot_r + tol
+            if nin_c or nin_r:
+                if nin_r and ndr >= droot_r - tol:
+                    pending.append(w)
+                    nin_r = False
+                stack.append((w, v, ndc, ndr, nin_c, nin_r))
+        p = parent[v]
+        if p and p != src:
+            s = size[v]
+            ndc = dc + (2 * s - m)
+            ndr = dr + (log(s) - log(m - s))
+            nin_c = in_c and ndc <= droot_c
+            nin_r = in_r and ndr <= droot_r + tol
+            if nin_c or nin_r:
+                if nin_r and ndr >= droot_r - tol:
+                    pending.append(p)
+                    nin_r = False
+                stack.append((p, v, ndc, ndr, nin_c, nin_r))
+    for v in pending:
+        if phi_sign(parent, size, m, v, 1) <= 0:
+            count_r += 1
+    return count_c, count_r
+
+
+def betweenness_stats(children, size, m: int) -> tuple[int, int]:
+    """(rank, index): exhaustive over the small candidate cone.
+
+    The score of v is the sum of squared component sizes left by
+    removing it.  Any v with score <= score(root) satisfies
+    (m - size(v))^2 <= score(root), so candidates form an up-closed set
+    reachable from the root by descending while sizes stay large enough.
+    The best score, largest label on ties, is always among them.
+    """
+    root_score = sum(size[ch] ** 2 for ch in children[1])
+    s_min = m - isqrt(root_score)
+    rank = 0
+    best_score = root_score
+    best_label = 1
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        score = 0 if v == 1 else (m - size[v]) ** 2
+        for ch in children[v]:
+            s = size[ch]
+            score += s * s
+            if s >= s_min:
+                stack.append(ch)
+        if score <= root_score:
+            rank += 1
+        if score < best_score or (score == best_score and v > best_label):
+            best_score = score
+            best_label = v
+    return rank, best_label

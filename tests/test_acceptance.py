@@ -19,7 +19,9 @@ from scipy import stats as scipy_stats
 
 from rootrank import (
     MEASURES,
+    SWEEP_MEASURES,
     ExperimentConfig,
+    RecursiveTree,
     RngStream,
     compute_profile,
     generate_parent_matrix,
@@ -276,15 +278,16 @@ def test_12_persistence_separation():
 
 
 def test_12_tracker_ranks_match_engine():
-    """Criterion 12's checkpoint ranks agree with the batch engine.
+    """Criterion 12's checkpoint ranks agree with the batch engine and the scorers.
 
-    The tracker evaluates ranks by local walks; rank_index_batch
-    recomputes them from the whole prefix tree.  Both trajectories are
-    compared at m = 5*10^4 and 10^5, and at every late-half last change
-    of a criterion-12 rank and the checkpoint before it.  Trajectory 1's
+    The tracker and rank_index_batch share the local rank walks, so each
+    checkpoint is also held to compute_profile on the prefix tree, which
+    scores and sorts every vertex.  Both trajectories are compared at
+    m = 5*10^4 and 10^5, and at every late-half last change of a
+    criterion-12 rank and the checkpoint before it.  Trajectory 1's
     betweenness rank last changes at the horizon; trajectory 11's jordan,
     closeness and rumor ranks last change together at m = 70848.  One
-    engine call walks the whole prefix, so both trajectories share it.
+    engine call covers a prefix size for both trajectories.
     """
     seed, horizon, stride = 20260817, 100_000, 16
     reps = (1, 11)
@@ -306,11 +309,14 @@ def test_12_tracker_ranks_match_engine():
         pos = m // stride - 1
         for col, res in enumerate(runs):
             assert res.checkpoints[pos] == m
+            prefix = RecursiveTree(parents[2 : m + 1, col])
             for tag, (rank, index) in batch.items():
-                assert res.series["rank"][tag][pos] == rank[col], (reps[col], m, tag)
-                assert res.series["index"][tag][pos] == index[col], (reps[col], m, tag)
+                report = compute_profile(prefix, SWEEP_MEASURES[tag]).report
+                got = (res.series["rank"][tag][pos], res.series["index"][tag][pos])
+                assert got == (rank[col], index[col]), (reps[col], m, tag)
+                assert got == (report.root_rank, report.center_index), (reps[col], m, tag)
     print(f"[PASS] criterion 12 cross-check: tracker ranks and indices match "
-          f"rank_index_batch at m={sorted(sizes)} on trajectories {reps}")
+          f"rank_index_batch and compute_profile at m={sorted(sizes)} on trajectories {reps}")
 
 
 def test_13_urn_leader_and_diagonal():

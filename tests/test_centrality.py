@@ -36,7 +36,6 @@ from rootrank import (
     betweenness_sq_scores,
     closeness_scores,
     compute_profile,
-    confidence_set,
     degree_scores,
     grow_urrt,
     jordan_scores,
@@ -50,41 +49,7 @@ from rootrank.centrality import phi_sign
 from rootrank.oracles import oracle_jordan, oracle_rank, oracle_rumor
 from rootrank.tree import enumerate_recursive_trees
 
-from test_tree import compact_strategy
-
-
-def twin_compact(base: RecursiveTree) -> list[int]:
-    """Two copies of ``base`` under a new root, labels interleaved.
-
-    Vertex i of the copies becomes 2i and 2i + 1, so the tree stays
-    recursive and mirrored vertices are exact rumor ties that are not
-    siblings.
-    """
-    out = [1, 1]
-    for p in base.parent[2:].tolist():
-        out += [2 * p, 2 * p + 1]
-    return out
-
-
-@st.composite
-def adversarial_compact(draw, max_n: int = 60):
-    """Stars, paths, brooms, caterpillars and twin trees with n <= max_n."""
-    shape = draw(st.sampled_from(["star", "path", "broom", "caterpillar", "twin"]))
-    if shape == "twin":
-        base = draw(compact_strategy(max_n=(max_n - 1) // 2))
-        return twin_compact(RecursiveTree(list(base)))
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    spine = draw(st.integers(min_value=1, max_value=n))
-    if shape == "star":
-        return [1] * (n - 1)
-    if shape == "path":
-        return list(range(1, n))
-    if shape == "broom":
-        return [min(v - 1, spine) for v in range(2, n + 1)]
-    return [
-        v - 1 if v <= spine else draw(st.integers(min_value=1, max_value=spine))
-        for v in range(2, n + 1)
-    ]
+from conftest import adversarial_compact, compact_strategy, twin_compact
 
 
 class TestFrozenScores:
@@ -133,15 +98,6 @@ class TestPessimisticRanking:
         # leaves 2,3,4 share degree 1; later arrivals rank ahead
         profile = compute_profile(s4, DEGREE)
         assert profile.rank[1:].tolist() == [1, 4, 3, 2]
-
-    def test_confidence_set_t4(self, t4):
-        profile = compute_profile(t4, JORDAN)
-        assert confidence_set(profile.rank, 2).tolist() == [3, 1]
-        assert confidence_set(profile.rank, 4).tolist() == [3, 1, 4, 2]
-        with pytest.raises(ValueError):
-            confidence_set(profile.rank, 0)
-        with pytest.raises(ValueError):
-            confidence_set(profile.rank, 5)
 
     def test_profile_csv_shape(self, t4):
         text = profile_csv(compute_profile(t4, JORDAN))

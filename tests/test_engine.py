@@ -7,6 +7,8 @@ generator must consume the same draws as grow_urrt.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootrank import (
     SWEEP_MEASURES,
@@ -21,6 +23,9 @@ from rootrank import (
 )
 from rootrank.engine import chunk_rows, rank_index_sweep_chunk, replicate_chunks
 
+from conftest import adversarial_compact, compact_strategy
+
+
 def _column_tree(parents, j):
     return RecursiveTree(parents[2:, j].tolist())
 
@@ -30,7 +35,7 @@ class TestGeneration:
         parents = generate_parent_matrix(99, 50, 3, 11, stream_base=1000)
         for j in range(8):
             tree = grow_urrt(50, RngStream(99, 1000 + 3 + j))
-            assert parents[2:, j].tolist() == tree.compact_parents().tolist()
+            assert parents[2:, j].tolist() == tree.parent[2:].tolist()
 
     def test_padding_rows_zero(self):
         parents = generate_parent_matrix(1, 9, 0, 4)
@@ -81,6 +86,20 @@ class TestAgreementWithPerTree:
                 report = compute_profile(tree, measure).report
                 assert ranks[j] == report.root_rank, (tag, n, j)
                 assert indexes[j] == report.center_index, (tag, n, j)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(compact_strategy(max_n=24), adversarial_compact()))
+    def test_shapes_match_compute_profile(self, compact):
+        # stars, paths, brooms, caterpillars and twin trees stress the
+        # walks' pruning, the tied twin centroid and exact rumor ties
+        tree = RecursiveTree(list(compact))
+        parents = np.zeros((tree.n + 1, 1), dtype=np.int64)
+        parents[:, 0] = tree.parent
+        got = rank_index_batch(parents, tree.n)
+        for tag, measure in SWEEP_MEASURES.items():
+            report = compute_profile(tree, measure).report
+            assert got[tag][0][0] == report.root_rank, tag
+            assert got[tag][1][0] == report.center_index, tag
 
     def test_n_one_all_ones(self):
         parents = generate_parent_matrix(5, 1, 0, 6)

@@ -1,21 +1,51 @@
 """Output bytes pinned across commits.
 
 Criterion 14 compares outputs of one commit under different worker
-counts; these hashes tie the sweep CSV, the persistence CSV and the
-``centrality --measure all`` output to fixed values, so a refactor that
-changes a single byte of them fails here.  The values were taken before
-the measure registry, the draw-to-parent map and the engine's size pass
-were each moved to one place.
+counts; these hashes tie the sweep CSV, the persistence CSV, the
+``centrality --measure all`` output and the batch engine's rank and
+index arrays to fixed values, so a refactor that changes a single byte
+of them fails here.  The first three were taken before the measure
+registry, the draw-to-parent map and the engine's size pass were each
+moved to one place; the engine's before its ranks moved to local walks.
 """
 
 import hashlib
 
-from rootrank import ExperimentConfig, RngStream, grow_urrt, run_experiment, write_edge_list
+import numpy as np
+import pytest
+
+from rootrank import (
+    SWEEP_MEASURES,
+    ExperimentConfig,
+    RngStream,
+    grow_urrt,
+    run_experiment,
+    write_edge_list,
+)
 from rootrank.cli import main
+from rootrank.engine import rank_index_sweep_chunk
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,rows,digest",
+    [
+        (1_000, 4096, "b6b8e20d0b2145e4def359d4861084aabfe3b156cf524d304a6ca458619decb4"),
+        (10_000, 200, "6692b5fa7bb199ca3876c3b7251f0c318fa384f9bf82ecec7577f232639de89c"),
+    ],
+)
+def test_engine_arrays_bytes(n, rows, digest):
+    # rank then index, int64, for each measure in SWEEP_MEASURES order
+    stats = rank_index_sweep_chunk(7, n, 0, rows)
+    h = hashlib.sha256()
+    for tag in SWEEP_MEASURES:
+        for arr in stats[tag]:
+            assert arr.dtype == np.int64 and arr.shape == (rows,)
+            h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sweep_csv_bytes():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rootrank import (
     EdgeListParseError,
@@ -16,26 +15,18 @@ from rootrank import (
     read_edge_list,
     serialize_tree,
     subtree_sizes,
-    tree_index,
     write_edge_list,
 )
 from rootrank.engine import generate_parent_matrix
 
-
-def compact_strategy(max_n: int = 24):
-    """Random valid compact parent lists: parent of v drawn from 1..v-1."""
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.tuples(
-            *[st.integers(min_value=1, max_value=v - 1) for v in range(2, n + 1)]
-        )
-    )
+from conftest import compact_strategy
 
 
 class TestRecursiveTree:
     def test_singleton(self):
         t = RecursiveTree([])
         assert t.n == 1
-        assert list(t.compact_parents()) == []
+        assert t.parent[2:].tolist() == []
 
     def test_t4_structure(self, t4):
         assert t4.n == 4
@@ -141,14 +132,7 @@ class TestEnumeration:
         assert num_recursive_trees(8) == 5040
 
     def test_enumeration_is_complete_and_indexed(self):
-        seen = set()
-        for i, t in enumerate(enumerate_recursive_trees(5)):
-            assert tree_index(t) == i
-            seen.add(t)
-        assert len(seen) == 24
-
-    @settings(max_examples=40, derandomize=True)
-    @given(compact_strategy(max_n=7))
-    def test_tree_index_in_range(self, compact):
-        t = RecursiveTree(list(compact))
-        assert 0 <= tree_index(t) < num_recursive_trees(t.n)
+        # tree i is the i-th parent list in mixed-radix (lexicographic) order
+        compacts = [tuple(t.parent[2:].tolist()) for t in enumerate_recursive_trees(5)]
+        assert compacts == sorted(set(compacts))
+        assert len(compacts) == 24
