@@ -15,6 +15,16 @@ subtree sizes and rerooting identities:
   passes through the vertex (larger wins).
 * Degree (larger wins).
 
+All scorers but degree start from the subtree sizes, whose bottom-up
+pass is a Python loop because each size needs its children's first.  Reductions
+that do not depend on visiting order are single numpy calls over the
+parent and size arrays: jordan's largest child (``np.maximum.at``), the
+betweenness power sums (``np.add.at``), degree (``np.bincount``) and the
+root's total distance (the sum of sizes[2:]).  The rerooting sums of
+closeness and rumor stay Python loops from the root down, since each
+vertex adds its gain to its parent's finished score; rumor's loop also
+fixes the rounding order that ``rumor_band`` bounds.
+
 Ties are always broken pessimistically: among equally central vertices
 the one inserted later (larger label) ranks first.  ``rank_vertices``
 returns the full rank permutation plus a ``CenterReport`` naming the
@@ -105,52 +115,31 @@ def _sizes_or(tree: RecursiveTree, sizes: np.ndarray | None) -> np.ndarray:
     return subtree_sizes(tree) if sizes is None else sizes
 
 
-def _child_aggregates(tree: RecursiveTree, sizes: np.ndarray) -> tuple[list, list]:
-    """One reverse pass: per-vertex max child size and sum of squared child sizes."""
-    n = tree.n
-    par = tree.parent.tolist()
-    s = sizes.tolist()
-    cmax = [0] * (n + 1)
-    csq = [0] * (n + 1)
-    for v in range(n, 1, -1):
-        p = par[v]
-        sv = s[v]
-        if sv > cmax[p]:
-            cmax[p] = sv
-        csq[p] += sv * sv
-    return cmax, csq
-
-
 def jordan_scores(
     tree: RecursiveTree, sizes: np.ndarray | None = None
 ) -> np.ndarray:
     """Largest component size after removing each vertex (int64, slot 0 unused)."""
     sizes = _sizes_or(tree, sizes)
-    n = tree.n
-    cmax, _ = _child_aggregates(tree, sizes)
-    above = n - sizes
-    above[0] = 0
-    out = np.maximum(above, np.array(cmax, dtype=np.int64))
+    out = tree.n - sizes
     out[0] = 0
+    np.maximum.at(out, tree.parent[2:], sizes[2:])
     return out
 
 
 def closeness_scores(
     tree: RecursiveTree, sizes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sum of distances from each vertex to all others, via rerooting."""
+    """Sum of distances from each vertex to all others, via rerooting.
+
+    A vertex at depth d lies in the subtrees of d non-root vertices, itself
+    and its ancestors below the root, so the root's total is sum(sizes[2:]).
+    """
     sizes = _sizes_or(tree, sizes)
     n = tree.n
     par = tree.parent.tolist()
     s = sizes.tolist()
     out = [0] * (n + 1)
-    depth_total = 0
-    depth = [0] * (n + 1)
-    for v in range(2, n + 1):
-        d = depth[par[v]] + 1
-        depth[v] = d
-        depth_total += d
-    out[1] = depth_total
+    out[1] = int(sizes[2:].sum())
     for v in range(2, n + 1):
         out[v] = out[par[v]] + n - 2 * s[v]
     return np.array(out, dtype=np.int64)
@@ -277,29 +266,24 @@ def betweenness_sq_scores(
     if q == 2 and n > 10**8:
         raise ScoreOverflowError(f"n={n} exceeds the enforced bound 1e8 for q=2")
     sizes = _sizes_or(tree, sizes)
-    par = tree.parent.tolist()
-    s = sizes.tolist()
-    acc = [0] * (n + 1)
-    for v in range(n, 1, -1):
-        acc[par[v]] += s[v] ** q
-    for v in range(2, n + 1):
-        acc[v] += (n - s[v]) ** q
-    return np.array(acc, dtype=np.int64)
+    # Components left by removing v add up to n - 1 vertices, so no sum
+    # exceeds (n - 1)^q and the guard above keeps these int64 sums exact.
+    out = np.zeros(n + 1, dtype=np.int64)
+    out[2:] = (n - sizes[2:]) ** q
+    np.add.at(out, tree.parent[2:], sizes[2:] ** q)
+    return out
 
 
 def betweenness_pairs_scores(
     tree: RecursiveTree, sizes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Number of vertex pairs whose path passes through each vertex."""
-    sizes = _sizes_or(tree, sizes)
-    n = tree.n
-    _, csq = _child_aggregates(tree, sizes)
-    total_sq = np.array(csq, dtype=np.int64)
-    above = (n - sizes).astype(np.int64)
-    above[0] = 0
-    above[1] = 0
-    total_sq += above * above
-    out = ((n - 1) ** 2 - total_sq) // 2
+    """Number of vertex pairs whose path passes through each vertex.
+
+    An ordered pair of the other n - 1 vertices passes through v exactly
+    when its ends lie in different components left by removing v, so the
+    count is ((n - 1)^2 - sum of squared component sizes) / 2.
+    """
+    out = ((tree.n - 1) ** 2 - betweenness_sq_scores(tree, sizes)) // 2
     out[0] = 0
     return out
 

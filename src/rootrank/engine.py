@@ -6,11 +6,13 @@ center-index statistics over tens of thousands of independent trees, and
 looping the per-tree code is too slow in pure Python.  This module grows
 whole batches of trees at once: replicates are laid out as columns of an
 ``(n + 1, rows)`` matrix.  Subtree sizes come from one bottom-up loop over
-the vertex rows with vectorized column operations, and the centroid and
-degree statistics from whole-matrix reductions.  The other root ranks, and
-the betweenness index, come from the local walks of :mod:`rootrank.walks`
-that the growth trajectories use too: per column they visit only the few
-vertices around the centroid, so no score matrix is built but degree's.
+the vertex rows with vectorized column operations.  Columns are then
+copied contiguous a block at a time: the centroid is one reduction over
+a block's sizes, and degree one ``bincount`` per parent column.  The other
+root ranks, and the betweenness index, come from the local walks of
+:mod:`rootrank.walks` that the growth trajectories use too: per column they
+visit only the few vertices around the centroid, so no score matrix is
+built.
 
 Replicate ``i`` of a sweep uses the Philox stream ``stream_base + i`` and
 draws exactly the same uniforms as ``grow_urrt`` would on that stream, so
@@ -37,9 +39,8 @@ __all__ = [
     "rank_index_sweep_chunk",
 ]
 
-# Elements of one (n + 1) x rows int64 matrix of a chunk.  At most three are
-# live at once: the parents with degree's bincount input and counts, then
-# the parents and sizes during the walks.
+# Elements of one (n + 1) x rows int64 matrix of a chunk.  At most two are
+# live at once: the parents and the sizes.
 _CHUNK_ELEMENT_BUDGET = 16_000_000
 _MAX_CHUNK_ROWS = 4096
 # Elements per block of columns copied contiguous for the walks (8 MB of int64).
@@ -88,21 +89,6 @@ def _size_pass(parents: np.ndarray, n: int) -> np.ndarray:
     return sizes
 
 
-def _degree_stats(parents: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree root rank, ties counted against the root, and center index per column."""
-    rows = parents.shape[1]
-    flat = parents[2:] * rows + np.arange(rows)
-    degree = np.bincount(flat.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
-    del flat
-    degree[2:] += 1
-    rank = (degree[1:] >= degree[1]).sum(axis=0).astype(np.int64)
-    index = n - np.argmax(degree[n:0:-1], axis=0)  # largest label on ties
-    return rank, index
-
-
-_WALKED = ("jordan", "closeness", "rumor", "betweenness")
-
-
 class _Children(dict):
     """Children of each vertex of one parent column, found on first use."""
 
@@ -133,26 +119,23 @@ def rank_index_batch(
         ones = np.ones(rows, dtype=np.int64)
         return {tag: (ones.copy(), ones.copy()) for tag in measures}
 
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    # Degree goes first, and its matrices are freed before the size pass:
-    # that keeps the peak at three matrices.  The order also decides how
-    # much freed heap stays resident once the matrices fit under malloc's
-    # dynamic mmap threshold (n = 10^3 chunks): with the size pass first,
-    # and the same peak of live matrices, about 30 MB more stayed resident.
-    if "degree" in measures:
-        out["degree"] = _degree_stats(parents, n)
-    walked = [tag for tag in measures if tag in _WALKED]
-    if not walked:
-        return out
-
-    sizes = _size_pass(parents, n)
-    rank = {tag: np.empty(rows, dtype=np.int64) for tag in _WALKED}
-    center = np.empty(rows, dtype=np.int64)
-    between_index = np.empty(rows, dtype=np.int64)
-    ball = "closeness" in measures or "rumor" in measures
+    out = {tag: (np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64))
+           for tag in measures}
+    walked = set(measures) - {"degree"}
+    ball = walked & {"closeness", "rumor"}
+    sizes = _size_pass(parents, n) if walked else None
     block = max(1, _BLOCK_ELEMENTS // (n + 1))
     for lo in range(0, rows, block):
         columns = np.ascontiguousarray(parents[:, lo : lo + block].T)
+        if "degree" in out:
+            rank, index = out["degree"]
+            for j, column in enumerate(columns, lo):
+                degree = np.bincount(column[2:], minlength=n + 1)
+                degree[2:] += 1
+                rank[j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
+                index[j] = n - np.argmax(degree[:0:-1])  # largest label on ties
+        if not walked:
+            continue
         column_sizes = np.ascontiguousarray(sizes[:, lo : lo + block].T)
         # Vertices with 2 s(v) > n form the path from the root to the
         # centroid, and labels grow along it, so its largest label is the
@@ -160,22 +143,24 @@ def rank_index_batch(
         # twin centroid and its child.  The centroid set is the center set
         # of jordan, closeness and rumor, whose index takes the larger label.
         rev = column_sizes[:, n:0:-1]
-        center[lo : lo + block] = n - np.argmax(rev >= (n + 1) // 2, axis=1)  # 2 s >= n
+        center = n - np.argmax(rev >= (n + 1) // 2, axis=1)  # 2 s >= n
+        for tag in walked & {"jordan", "closeness", "rumor"}:
+            out[tag][1][lo : lo + block] = center
         starts = (n - np.argmax(rev > n // 2, axis=1)).tolist()  # 2 s > n
         for j, column, size, c in zip(range(lo, rows), columns, column_sizes, starts):
             children = _Children(column)
             size = size.tolist()
-            if "jordan" in measures:
-                rank["jordan"][j] = jordan_rank(children, size, n)
+            if "jordan" in out:
+                out["jordan"][0][j] = jordan_rank(children, size, n)
             if ball:
-                rank["closeness"][j], rank["rumor"][j] = ball_ranks(
-                    column.tolist(), size, children, n, c
-                )
-            if "betweenness" in measures:
-                rank["betweenness"][j], between_index[j] = betweenness_stats(children, size, n)
-    for tag in walked:
-        out[tag] = (rank[tag], between_index if tag == "betweenness" else center.copy())
-    return {tag: out[tag] for tag in measures}
+                ranks = ball_ranks(column.tolist(), size, children, n, c)
+                for tag, rank in zip(("closeness", "rumor"), ranks):
+                    if tag in out:
+                        out[tag][0][j] = rank
+            if "betweenness" in out:
+                rank, index = out["betweenness"]
+                rank[j], index[j] = betweenness_stats(children, size, n)
+    return out
 
 
 def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:

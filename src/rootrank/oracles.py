@@ -213,38 +213,48 @@ def oracle_rank(values, larger_is_central: bool) -> list[int]:
 
 def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
     n = tree.n
+    where = f"on tree {serialize_tree(tree)!r}"
 
-    checks = [
-        ("jordan", _fast.jordan_scores(tree, sizes), oracle_jordan(tree), False),
-        ("closeness", _fast.closeness_scores(tree, sizes), oracle_closeness(tree), False),
-        ("degree", _fast.degree_scores(tree), oracle_degree(tree), True),
+    # Integer-scored measures: exact scores, then tie-broken ranks.
+    table = [
+        (_fast.JORDAN, _fast.jordan_scores(tree, sizes), oracle_jordan(tree)),
+        (_fast.CLOSENESS, _fast.closeness_scores(tree, sizes), oracle_closeness(tree)),
+        (_fast.DEGREE, _fast.degree_scores(tree), oracle_degree(tree)),
         (
-            "betweenness-sq",
+            _fast.BETWEENNESS_SQ,
             _fast.betweenness_sq_scores(tree, sizes, q=2),
-            np.array(oracle_betweenness_sq(tree, 2), dtype=np.int64),
-            False,
+            oracle_betweenness_sq(tree, 2),
         ),
         (
-            "betweenness-pairs",
+            _fast.BETWEENNESS_PAIRS,
             _fast.betweenness_pairs_scores(tree, sizes),
             oracle_betweenness_pairs(tree),
-            True,
         ),
     ]
-    for tag, fast_scores, oracle_scores_, larger in checks:
-        if not np.array_equal(fast_scores[1:], np.asarray(oracle_scores_)[1:]):
+    fast_ranks = {}
+    for measure, fast_scores, oracle_scores in table:
+        exact = np.asarray(oracle_scores).tolist()
+        if fast_scores[1:].tolist() != exact[1:]:
             raise VerificationError(
-                f"{tag} scores disagree on tree {serialize_tree(tree)!r}: "
-                f"fast={fast_scores[1:].tolist()} oracle={np.asarray(oracle_scores_)[1:].tolist()}"
+                f"{measure.tag} scores disagree {where}: "
+                f"fast={fast_scores[1:].tolist()} oracle={exact[1:]}"
             )
+        fast_rank, _ = _fast.rank_vertices(fast_scores, measure)
+        fast_ranks[measure.tag] = fast_rank[1:].tolist()
+        if fast_ranks[measure.tag] != oracle_rank(exact, measure.larger_is_central)[1:]:
+            raise VerificationError(f"{measure.tag} ranks disagree {where}")
+
+    # The two betweenness forms must rank identically.
+    if fast_ranks["betweenness-sq"] != fast_ranks["betweenness-pairs"]:
+        raise VerificationError(f"betweenness sq vs pairs ranking differs {where}")
 
     log_fast, comparator = _fast.rumor_scores(tree, sizes)
     phi = oracle_rumor(tree)
     for v in range(1, n + 1):
         if abs(log_fast[v] - math.log(phi[v])) > log_tol:
             raise VerificationError(
-                f"rumor log score disagrees at vertex {v} on tree "
-                f"{serialize_tree(tree)!r}: fast={log_fast[v]} exact={math.log(phi[v])}"
+                f"rumor log score disagrees at vertex {v} {where}: "
+                f"fast={log_fast[v]} exact={math.log(phi[v])}"
             )
 
     # Exact comparator must reproduce big-integer comparisons (all pairs
@@ -259,40 +269,15 @@ def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
         got = comparator.compare(a, b)
         if got != want:
             raise VerificationError(
-                f"rumor comparator wrong for ({a},{b}) on tree "
-                f"{serialize_tree(tree)!r}: got {got}, want {want}"
+                f"rumor comparator wrong for ({a},{b}) {where}: got {got}, want {want}"
             )
-
-    # Tie-broken ranks, fast vs oracle, all measures.
-    rank_checks = [
-        (_fast.JORDAN, checks[0][1], checks[0][2].tolist(), False),
-        (_fast.CLOSENESS, checks[1][1], checks[1][2].tolist(), False),
-        (_fast.DEGREE, checks[2][1], checks[2][2].tolist(), True),
-        (_fast.BETWEENNESS_SQ, checks[3][1], checks[3][2].tolist(), False),
-        (_fast.BETWEENNESS_PAIRS, checks[4][1], checks[4][2].tolist(), True),
-    ]
-    fast_ranks = {}
-    for measure, fast_scores, oracle_vals, larger in rank_checks:
-        fast_rank, _ = _fast.rank_vertices(fast_scores, measure)
-        want_rank = oracle_rank(oracle_vals, larger)
-        if fast_rank[1:].tolist() != want_rank[1:]:
-            raise VerificationError(
-                f"{measure.tag} ranks disagree on tree {serialize_tree(tree)!r}"
-            )
-        fast_ranks[measure.tag] = fast_rank
 
     rumor_rank, rumor_report = _fast.rank_vertices(log_fast, _fast.RUMOR, comparator)
     want_rumor, _, want_tied = _rank_generic(phi, False)
     if rumor_rank[1:].tolist() != want_rumor[1:]:
-        raise VerificationError(f"rumor ranks disagree on tree {serialize_tree(tree)!r}")
+        raise VerificationError(f"rumor ranks disagree {where}")
     if rumor_report.tied_center_set != want_tied:
-        raise VerificationError(f"rumor tied sets disagree on tree {serialize_tree(tree)!r}")
-
-    # The two betweenness forms must rank identically.
-    if fast_ranks["betweenness-sq"][1:].tolist() != fast_ranks["betweenness-pairs"][1:].tolist():
-        raise VerificationError(
-            f"betweenness sq vs pairs ranking differs on tree {serialize_tree(tree)!r}"
-        )
+        raise VerificationError(f"rumor tied sets disagree {where}")
 
 
 def verify_tree(tree: RecursiveTree, log_tol: float | None = None) -> None:

@@ -46,7 +46,7 @@ from rootrank import (
     verify_tree,
 )
 from rootrank.centrality import phi_sign
-from rootrank.oracles import oracle_jordan, oracle_rank, oracle_rumor
+from rootrank.oracles import oracle_betweenness_sq, oracle_jordan, oracle_rank, oracle_rumor
 from rootrank.tree import enumerate_recursive_trees
 
 from conftest import adversarial_compact, compact_strategy, twin_compact
@@ -246,6 +246,15 @@ class TestBetweennessFamily:
             betweenness_sq_scores(t4, q=70)
         with pytest.raises(ScoreOverflowError):
             compute_profile(t4, betweenness_q(70))
+
+    @pytest.mark.parametrize("q", [3, 22])
+    def test_power_sums_match_oracle_n8(self, q):
+        # int64 sums of q-th powers, up to the largest q the guard admits
+        # at n = 8: 2 * 7^22 < 2^63 <= 2 * 7^23
+        for t in enumerate_recursive_trees(8):
+            assert betweenness_sq_scores(t, q=q).tolist() == oracle_betweenness_sq(t, q)
+        with pytest.raises(ScoreOverflowError):
+            betweenness_sq_scores(t, q=23)
 
 
 class TestRerootingIdentities:

@@ -109,12 +109,17 @@ class TestAgreementWithPerTree:
             assert ranks.tolist() == [1] * 6
             assert indexes.tolist() == [1] * 6
 
-    def test_measure_subset_and_order(self):
+    @pytest.mark.parametrize(
+        "measures", [(tag,) for tag in SWEEP_MEASURES] + [("degree", "jordan")], ids="-".join
+    )
+    def test_measure_subset_and_order(self, measures):
+        # a degree-only call skips the size pass; every subset must still
+        # repeat its part of the five-measure call
         parents = generate_parent_matrix(3, 40, 0, 5)
-        got = rank_index_batch(parents, 40, measures=("degree", "jordan"))
-        assert list(got) == ["degree", "jordan"]
+        got = rank_index_batch(parents, 40, measures=measures)
+        assert list(got) == list(measures)
         full = rank_index_batch(parents, 40)
-        for tag in ("degree", "jordan"):
+        for tag in measures:
             assert got[tag][0].tolist() == full[tag][0].tolist()
             assert got[tag][1].tolist() == full[tag][1].tolist()
 
