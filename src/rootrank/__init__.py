@@ -47,7 +47,6 @@ from .rng import RngStream
 from .urns import (
     HoppeRun,
     hoppe_run,
-    max_subtree_fraction,
     polya_diagonal_hit_exact,
     polya_diagonal_hits,
     polya_final_counts,

@@ -92,6 +92,10 @@ SWEEP_MEASURES: dict[str, Measure] = {
     "degree": DEGREE,
 }
 
+# Sweep tags whose center set is the centroid set, so they share one
+# center index: the larger label of a tied centroid pair.
+CENTROID_GROUP = ("jordan", "closeness", "rumor")
+
 
 @dataclass(frozen=True)
 class CenterReport:

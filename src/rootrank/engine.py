@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centrality import SWEEP_MEASURES
+from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
 from .tree import parents_from_draws
 from .walks import ball_ranks, betweenness_stats, jordan_rank
@@ -137,17 +137,14 @@ def rank_index_batch(
         if not walked:
             continue
         column_sizes = np.ascontiguousarray(sizes[:, lo : lo + block].T)
-        # Vertices with 2 s(v) > n form the path from the root to the
-        # centroid, and labels grow along it, so its largest label is the
-        # centroid.  The one vertex with 2 s(v) = n, if any, is the tied
-        # twin centroid and its child.  The centroid set is the center set
-        # of jordan, closeness and rumor, whose index takes the larger label.
-        rev = column_sizes[:, n:0:-1]
-        center = n - np.argmax(rev >= (n + 1) // 2, axis=1)  # 2 s >= n
-        for tag in walked & {"jordan", "closeness", "rumor"}:
+        # Vertices with 2 s(v) >= n form a path from the root, and labels
+        # grow along it, so its largest label is its last vertex: the
+        # centroid, or the child of a tied centroid pair.  That is the
+        # center index of the centroid group, and the ball walks start there.
+        center = n - np.argmax(column_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
+        for tag in walked.intersection(CENTROID_GROUP):
             out[tag][1][lo : lo + block] = center
-        starts = (n - np.argmax(rev > n // 2, axis=1)).tolist()  # 2 s > n
-        for j, column, size, c in zip(range(lo, rows), columns, column_sizes, starts):
+        for j, column, size, c in zip(range(lo, rows), columns, column_sizes, center.tolist()):
             children = _Children(column)
             size = size.tolist()
             if "jordan" in out:

@@ -114,6 +114,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.stride < 0:
             raise ConfigError("stride must be >= 0")
+        stride = self.resolved_stride()
+        if self.experiment == "persistence" and self.horizon % stride:
+            raise ConfigError(
+                f"stride {stride} (stride={self.stride}) does not divide horizon {self.horizon}"
+            )
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         for name in ("n", "x_grid", "k_grid", "coverage_k", "urn_a", "t_grid"):

@@ -211,8 +211,10 @@ def oracle_rank(values, larger_is_central: bool) -> list[int]:
     return _rank_generic(list(values), larger_is_central)[0]
 
 
-def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
+def verify_tree(tree: RecursiveTree) -> None:
+    """Compare every fast scorer and ranking against its oracle on one tree."""
     n = tree.n
+    sizes = subtree_sizes(tree)
     where = f"on tree {serialize_tree(tree)!r}"
 
     # Integer-scored measures: exact scores, then tie-broken ranks.
@@ -251,7 +253,7 @@ def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
     log_fast, comparator = _fast.rumor_scores(tree, sizes)
     phi = oracle_rumor(tree)
     for v in range(1, n + 1):
-        if abs(log_fast[v] - math.log(phi[v])) > log_tol:
+        if abs(log_fast[v] - math.log(phi[v])) > _LOG_SCORE_TOL_PER_VERTEX * n:
             raise VerificationError(
                 f"rumor log score disagrees at vertex {v} {where}: "
                 f"fast={log_fast[v]} exact={math.log(phi[v])}"
@@ -278,13 +280,6 @@ def _verify_one(tree: RecursiveTree, sizes: np.ndarray, log_tol: float) -> None:
         raise VerificationError(f"rumor ranks disagree {where}")
     if rumor_report.tied_center_set != want_tied:
         raise VerificationError(f"rumor tied sets disagree {where}")
-
-
-def verify_tree(tree: RecursiveTree, log_tol: float | None = None) -> None:
-    """Compare every fast scorer and ranking against its oracle on one tree."""
-    sizes = subtree_sizes(tree)
-    tol = log_tol if log_tol is not None else _LOG_SCORE_TOL_PER_VERTEX * tree.n
-    _verify_one(tree, sizes, tol)
 
 
 def verify_exhaustive(max_n: int) -> int:

@@ -9,15 +9,16 @@ the root rank R_m.
 Tracking everything per step would cost O(n) per insertion, so the work
 is split by what each statistic needs:
 
-* Center indices for the subtree-based measures coincide with the
-  centroid set, which moves by at most one edge per insertion.  The
-  centroid, its heaviest child, and the degree leader are maintained in
-  O(depth) per step, giving exact per-step change times for I_m.
+* Jordan, closeness and rumor share one center index, the last vertex
+  of the root path {v : 2 size(v) >= m}, which moves by at most one edge
+  per insertion.  It and the degree leader are maintained in O(depth)
+  per step, giving exact per-step change times for I_m.
 * Root ranks (and the betweenness index) are evaluated at checkpoints,
   every ``stride`` steps, by the local walks of :mod:`rootrank.walks`,
   which the batch engine shares: vertices at least as central as the
   root form a small connected region around the centroid, so each
-  evaluation touches O(R_m) vertices, not O(m).
+  evaluation touches O(R_m) vertices, not O(m).  Their change times are
+  read off the checkpoint series.
 
 No checkpoint recomputes a full profile.  Agreement with
 :mod:`rootrank.centrality` at every step is enforced by tests on small
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import SWEEP_MEASURES
+from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
 from .tree import parents_from_draws
 from .walks import ball_ranks, betweenness_stats, jordan_rank
@@ -41,8 +42,6 @@ __all__ = [
     "checkpoint_grid",
     "run_trajectory",
 ]
-
-_CENTROID_GROUP = ("jordan", "closeness", "rumor")
 
 
 def default_stride(horizon: int) -> int:
@@ -84,21 +83,14 @@ class TrajectoryResult:
 
 
 class _Trajectory:
-    """Mutable growth state; one instance per trajectory."""
+    """Mutable growth state; one instance per trajectory.
 
-    __slots__ = (
-        "m",
-        "parent",
-        "size",
-        "children",
-        "deg",
-        "hist",
-        "centroid",
-        "heavy_child",
-        "heavy_size",
-        "best_deg",
-        "best_deg_label",
-    )
+    ``centroid`` is the center index of the centroid group: the last
+    vertex of the root path {v : 2 size(v) >= m}, the larger label of a
+    tied pair.  A vertex's degree is ``len(children[v]) + (v > 1)``.
+    """
+
+    __slots__ = ("m", "parent", "size", "children", "hist", "centroid", "best_deg_label")
 
     def __init__(self, horizon: int):
         cap = horizon + 1
@@ -107,56 +99,38 @@ class _Trajectory:
         self.size = [0] * cap
         self.size[1] = 1
         self.children: list[list[int]] = [[] for _ in range(cap)]
-        self.deg = [0] * cap
         self.hist = [1]  # degree histogram over live vertices
         self.centroid = 1
-        self.heavy_child = 0
-        self.heavy_size = 0
-        self.best_deg = 0
         self.best_deg_label = 1
-
-    def _rescan_heavy(self) -> None:
-        size = self.size
-        hc = 0
-        hs = 0
-        for ch in self.children[self.centroid]:
-            s = size[ch]
-            if s > hs:
-                hs = s
-                hc = ch
-        self.heavy_child = hc
-        self.heavy_size = hs
 
     def step(self, target: int) -> None:
         """Attach a new vertex to ``target`` and update all tracked state."""
         size = self.size
         parent = self.parent
-        deg = self.deg
         hist = self.hist
         new = self.m + 1
 
         parent[new] = target
         size[new] = 1
-        self.children[target].append(new)
+        kids = self.children[target]
+        kids.append(new)
 
         if len(hist) < 2:
             hist.append(0)
         hist[1] += 1
-        d = deg[target]
-        hist[d] -= 1
-        d += 1
-        deg[target] = d
+        d = len(kids) + (target > 1)
+        hist[d - 1] -= 1
         if d == len(hist):
             hist.append(0)
         hist[d] += 1
-        deg[new] = 1
 
-        # Degrees only ever grow, so the lexicographic (degree, label)
-        # leader can only be displaced by a vertex that just incremented.
-        if d > self.best_deg or (d == self.best_deg and target > self.best_deg_label):
-            self.best_deg = d
+        # Degrees only ever grow, so the top histogram bucket never empties
+        # and the (degree, label) leader can only be displaced by a vertex
+        # that just incremented: alone at a new top, or tied with a larger label.
+        top = len(hist) - 1
+        if d == top and (hist[d] == 1 or target > self.best_deg_label):
             self.best_deg_label = target
-        if self.best_deg == 1 and new > self.best_deg_label:
+        if top == 1:  # m = 2: both vertices have degree 1, the larger label leads
             self.best_deg_label = new
 
         c = self.centroid
@@ -172,37 +146,22 @@ class _Trajectory:
         m = new
         self.m = m
 
-        if path_child:
-            s = size[path_child]
-            if path_child == self.heavy_child:
-                self.heavy_size = s
-            elif s > self.heavy_size:
-                self.heavy_child = path_child
-                self.heavy_size = s
-
-        while True:
-            if 2 * self.heavy_size > m:
-                self.centroid = self.heavy_child
-                self._rescan_heavy()
-                continue
-            c = self.centroid
-            if c != 1 and 2 * (m - size[c]) > m:
-                self.centroid = parent[c]
-                self._rescan_heavy()
-                continue
-            break
-
-    def centroid_index(self) -> int:
-        """Center index shared by the subtree-based measures."""
-        m = self.m
-        c = self.centroid
-        if 2 * self.heavy_size == m:
-            return max(c, self.heavy_child)
-        return c  # also on a parent tie: that tied twin always has a smaller label
+        # The threshold m / 2 rose by one half and only sizes on the new
+        # vertex's path grew, so the last vertex of the path moves one edge
+        # at most: down to c's child on that path, or up when c fell short.
+        if path_child and 2 * size[path_child] >= m:
+            self.centroid = path_child
+        elif 2 * size[c] < m:
+            self.centroid = parent[c]
 
     def degree_rank(self) -> int:
-        hist = self.hist
-        return sum(hist[self.deg[1] :])
+        return sum(self.hist[len(self.children[1]) :])
+
+
+def _last_change(series: np.ndarray, grid: np.ndarray) -> int:
+    """Largest checkpoint whose entry differs from the one before, else 0."""
+    moved = np.flatnonzero(series[1:] != series[:-1])
+    return int(grid[moved[-1] + 1]) if moved.size else 0
 
 
 def run_trajectory(
@@ -226,21 +185,12 @@ def run_trajectory(
 
     traj = _Trajectory(horizon)
 
-    last_idx = {t: 0 for t in SWEEP_MEASURES}
-    last_rank = {t: 0 for t in SWEEP_MEASURES}
-    prev_center = 1
-    prev_deg_label = 1
-    prev_rank: dict[str, int] = {}
-    prev_b_index = 0
-
     n_checks = len(grid)
     series_rank = {t: np.zeros(n_checks, dtype=np.int64) for t in SWEEP_MEASURES}
     series_index = {t: np.zeros(n_checks, dtype=np.int64) for t in SWEEP_MEASURES}
-    check_pos = 0
 
-    def observe_checkpoint() -> None:
-        nonlocal check_pos, prev_b_index
-        m = traj.m
+    def observe_checkpoint(m: int) -> None:
+        pos = m // stride - 1
         size, children = traj.size, traj.children
         rank_c, rank_r = ball_ranks(traj.parent, size, children, m, traj.centroid)
         rank_b, index_b = betweenness_stats(children, size, m)
@@ -251,37 +201,34 @@ def run_trajectory(
             "betweenness": rank_b,
             "degree": traj.degree_rank(),
         }
-        center = traj.centroid_index()
         for t in SWEEP_MEASURES:
-            r = ranks[t]
-            if t in prev_rank and r != prev_rank[t]:
-                last_rank[t] = m
-            prev_rank[t] = r
-            series_rank[t][check_pos] = r
-            series_index[t][check_pos] = center
-        series_index["degree"][check_pos] = traj.best_deg_label
-        series_index["betweenness"][check_pos] = index_b
-        if prev_b_index and index_b != prev_b_index:
-            last_idx["betweenness"] = m
-        prev_b_index = index_b
-        check_pos += 1
+            series_rank[t][pos] = ranks[t]
+        for t in CENTROID_GROUP:
+            series_index[t][pos] = traj.centroid
+        series_index["betweenness"][pos] = index_b
+        series_index["degree"][pos] = traj.best_deg_label
 
+    # Centroid and degree leader change times are exact per step; ranks and
+    # the betweenness index are only seen at checkpoints.
+    last_center = 0
+    last_degree = 0
     if grid[0] == 1:
-        observe_checkpoint()
-    for i, target in enumerate(targets):
+        observe_checkpoint(1)
+    for m, target in enumerate(targets, 2):
+        center = traj.centroid
+        leader = traj.best_deg_label
         traj.step(target)
-        m = i + 2
-        center = traj.centroid_index()
-        if center != prev_center:
-            for t in _CENTROID_GROUP:
-                last_idx[t] = m
-            prev_center = center
-        if traj.best_deg_label != prev_deg_label:
-            last_idx["degree"] = m
-            prev_deg_label = traj.best_deg_label
+        if traj.centroid != center:
+            last_center = m
+        if traj.best_deg_label != leader:
+            last_degree = m
         if m % stride == 0:
-            observe_checkpoint()
+            observe_checkpoint(m)
 
+    last_rank = {t: _last_change(series_rank[t], grid) for t in SWEEP_MEASURES}
+    last_idx = dict.fromkeys(CENTROID_GROUP, last_center)
+    last_idx["betweenness"] = _last_change(series_index["betweenness"], grid)
+    last_idx["degree"] = last_degree
     half = horizon // 2
     return TrajectoryResult(
         replicate=replicate,
@@ -289,7 +236,7 @@ def run_trajectory(
         stride=stride,
         checkpoints=grid,
         last_change_index={t: last_idx[t] for t in SWEEP_MEASURES},
-        last_change_rank={t: last_rank[t] for t in SWEEP_MEASURES},
+        last_change_rank=last_rank,
         changed_index={t: last_idx[t] > half for t in SWEEP_MEASURES},
         changed_rank={t: last_rank[t] > half for t in SWEEP_MEASURES},
         series={"rank": series_rank, "index": series_index} if keep_series else None,

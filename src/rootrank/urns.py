@@ -24,9 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import RecursiveTree, subtree_sizes
-
 _DIAGONAL_DP_MAX_HORIZON = 500
+# Steps per block of the vectorized urns; each replicate draws a block's
+# uniforms at once.
+_TIME_BLOCK = 20_000
 
 
 def polya_run(
@@ -60,7 +61,6 @@ def polya_final_counts(
     a: int,
     steps: int,
     gens: Sequence[np.random.Generator],
-    time_block: int = 20_000,
 ) -> np.ndarray:
     """Final x-ball counts for many replicates, one generator each.
 
@@ -71,7 +71,7 @@ def polya_final_counts(
     x = np.full(reps, a, dtype=np.int64)
     done = 0
     while done < steps:
-        blk = min(time_block, steps - done)
+        blk = min(_TIME_BLOCK, steps - done)
         u = np.stack([g.random(blk) for g in gens])
         for j in range(blk):
             tot = a + 1 + done + j
@@ -85,7 +85,6 @@ def polya_diagonal_hits(
     threshold: float,
     horizon: int,
     gens: Sequence[np.random.Generator],
-    time_block: int = 20_000,
 ) -> np.ndarray:
     """Whether each replicate's x-fraction drops below ``threshold`` by the horizon.
 
@@ -98,7 +97,7 @@ def polya_diagonal_hits(
     hit = x < threshold * (a + 1)
     done = 0
     while done < horizon:
-        blk = min(time_block, horizon - done)
+        blk = min(_TIME_BLOCK, horizon - done)
         u = np.stack([g.random(blk) for g in gens])
         for j in range(blk):
             tot = a + 1 + done + j
@@ -255,15 +254,3 @@ def sample_dickman_many(rng: np.random.Generator, size: int) -> np.ndarray:
             r *= 1.0 - u
         out[i] = m
     return out
-
-
-def max_subtree_fraction(
-    tree: RecursiveTree, sizes: np.ndarray | None = None
-) -> float:
-    """Largest root-subtree size divided by n (needs n >= 2)."""
-    if tree.n < 2:
-        raise ValueError("max_subtree_fraction needs n >= 2")
-    if sizes is None:
-        sizes = subtree_sizes(tree)
-    root_children = tree.parent[2:] == 1
-    return float(np.max(sizes[2:][root_children])) / tree.n

@@ -51,11 +51,13 @@ def jordan_rank(children, size, m: int) -> int:
 def ball_ranks(parent, size, children, m: int, c: int) -> tuple[int, int]:
     """(closeness rank, rumor rank) via one ball walk from centroid ``c``.
 
-    Both scores increase weakly along any path leaving the centroid,
-    so every vertex at least as central as the root lies inside the
-    region where the running diff stays at or below the root's diff.
-    Rumor diffs within the float band of the root's are settled by
-    ``phi_sign``.  Either centroid of a tied pair gives the same ranks.
+    ``c`` is the centroid index, the last vertex of the root path
+    {v : 2 size(v) >= m}; the batch engine and the growth trajectories
+    both pass that vertex.  Both scores increase weakly along any path
+    leaving the centroid, so every vertex at least as central as the
+    root lies inside the region where the running diff stays at or below
+    the root's diff.  Rumor diffs within the float band of the root's are
+    settled by ``phi_sign``.
     """
     droot_c = 0
     droot_r = 0.0

@@ -3,8 +3,8 @@
 Each test prints a single [PASS]/[FAIL] line with the measured numbers
 before asserting, so a verbose run reads as a checklist.  The three
 Monte Carlo sweeps are shared module-scoped fixtures.  The whole module
-takes about six minutes (340 s) on a 2-core machine, dominated by the
-n=10^4 and n=10^5 sweeps, the invariant scan, and the persistence
+takes about ten minutes (600 s to 650 s) on a 2-core machine, dominated
+by the n=10^4 and n=10^5 sweeps, the invariant scan, and the persistence
 trajectories.
 
 Thresholds are asserted exactly as stated; nothing is loosened to make

@@ -262,6 +262,10 @@ class TestPersistence:
         code, _, err = _run(capsys, "persistence", "--horizon", "60",
                             "--trajectories", "1", "--stride", "7", "--seed", "1")
         assert code == 2 and "stride" in err
+        # No stride given: the automatic one (16) must divide the horizon too.
+        code, _, err = _run(capsys, "persistence", "--horizon", "10001",
+                            "--trajectories", "1", "--seed", "1")
+        assert code == 2 and "stride 16" in err and "10001" in err
 
 
 class TestVerify:

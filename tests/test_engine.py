@@ -17,8 +17,8 @@ from rootrank import (
     compute_profile,
     generate_parent_matrix,
     grow_urrt,
+    jordan_scores,
     max_root_fraction_batch,
-    max_subtree_fraction,
     rank_index_batch,
 )
 from rootrank.engine import chunk_rows, rank_index_sweep_chunk, replicate_chunks
@@ -142,7 +142,7 @@ class TestMaxRootFraction:
         parents = generate_parent_matrix(31, 120, 0, 25)
         got = max_root_fraction_batch(parents, 120)
         for j in range(25):
-            assert got[j] == max_subtree_fraction(_column_tree(parents, j))
+            assert got[j] == jordan_scores(_column_tree(parents, j))[1] / 120
 
     def test_two_vertices(self):
         parents = generate_parent_matrix(1, 2, 0, 3)

@@ -16,7 +16,7 @@ from rootrank import (
     RngStream,
     config_from_mapping,
     grow_urrt,
-    max_subtree_fraction,
+    jordan_scores,
     rank_index_batch,
     generate_parent_matrix,
     run_experiment,
@@ -76,6 +76,15 @@ class TestConfigValidation:
         assert _cfg(horizon=100_000, stride=40).resolved_stride() == 40
         with pytest.raises(ConfigError, match="stride"):
             _cfg(stride=-1)
+
+    def test_persistence_stride_divides_horizon(self):
+        # Checked before any trajectory runs; stride 0 resolves to 16 here.
+        with pytest.raises(ConfigError, match="stride 16 .* horizon 10001"):
+            _cfg(experiment="persistence", horizon=10_001, stride=0)
+        with pytest.raises(ConfigError, match="stride 7 .* horizon 60"):
+            _cfg(experiment="persistence", horizon=60, stride=7)
+        # The urn kinds read the horizon too, but take no stride.
+        _cfg(experiment="hoppe-leader-change", horizon=10_001)
 
 
 class TestConfigMapping:
@@ -162,7 +171,8 @@ class TestSweeps:
         frac = run_max_fraction_sweep(21, 90, 12)
         for i in range(12):
             tree = grow_urrt(90, RngStream(21, i))
-            assert frac[i] == max_subtree_fraction(tree)
+            # Jordan's root score is the largest root subtree.
+            assert frac[i] == jordan_scores(tree)[1] / 90
 
     def test_fraction_sweep_worker_invariant(self):
         a = run_max_fraction_sweep(5, 300, 40, workers=1)

@@ -7,6 +7,8 @@ reference profile on it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootrank import (
     SWEEP_MEASURES,
@@ -16,8 +18,13 @@ from rootrank import (
     grow_urrt,
     jordan_scores,
     run_trajectory,
+    subtree_sizes,
 )
-from rootrank.persistence import checkpoint_grid, default_stride
+from rootrank.centrality import CENTROID_GROUP
+from rootrank.persistence import _Trajectory, checkpoint_grid, default_stride
+from rootrank.walks import ball_ranks, betweenness_stats, jordan_rank
+
+from conftest import adversarial_compact, compact_strategy
 
 
 def _replay_targets(horizon, seed, rep):
@@ -114,6 +121,42 @@ class TestCentroidTracking:
                 continue
             tree = _prefix_tree(targets, pos + 1)
             assert tree.parent[a] == b or tree.parent[b] == a, (a, b, pos)
+
+
+class TestAdversarialShapes:
+    """Tracker state against the per-tree profile at every step.
+
+    Paths and brooms move or tie the centroid at almost every step, which
+    uniform draws rarely do.
+    """
+
+    @staticmethod
+    def _check_state(traj, compact):
+        m = traj.m
+        prefix = RecursiveTree(list(compact[: m - 1]))
+        sizes = subtree_sizes(prefix)
+        assert traj.centroid == int(np.flatnonzero(2 * sizes >= m).max()), m
+        report = {tag: compute_profile(prefix, measure).report
+                  for tag, measure in SWEEP_MEASURES.items()}
+        assert (traj.degree_rank(), traj.best_deg_label) == (
+            report["degree"].root_rank, report["degree"].center_index), m
+        for tag in CENTROID_GROUP:
+            assert traj.centroid == report[tag].center_index, (tag, m)
+        children, size = traj.children, traj.size
+        assert jordan_rank(children, size, m) == report["jordan"].root_rank, m
+        assert ball_ranks(traj.parent, size, children, m, traj.centroid) == (
+            report["closeness"].root_rank, report["rumor"].root_rank), m
+        assert betweenness_stats(children, size, m) == (
+            report["betweenness"].root_rank, report["betweenness"].center_index), m
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(adversarial_compact(), compact_strategy()))
+    def test_every_step_matches_profile(self, compact):
+        traj = _Trajectory(len(compact) + 1)
+        self._check_state(traj, compact)
+        for target in compact:
+            traj.step(target)
+            self._check_state(traj, compact)
 
 
 class TestChangeTracking:

@@ -12,7 +12,6 @@ import pytest
 from rootrank import (
     RngStream,
     hoppe_run,
-    max_subtree_fraction,
     polya_diagonal_hit_exact,
     polya_diagonal_hits,
     polya_final_counts,
@@ -148,23 +147,3 @@ class TestHoppe:
         last = np.asarray(last)
         tail = [float((last > t).mean()) for t in (10, 100, 1_000)]
         assert tail[0] >= tail[1] >= tail[2]
-
-
-class TestMaxSubtreeFraction:
-    def test_reference_trees(self, t4, s4):
-        assert max_subtree_fraction(t4) == 0.5
-        assert max_subtree_fraction(s4) == 0.25
-
-    def test_singleton_rejected(self):
-        from rootrank import RecursiveTree
-
-        with pytest.raises(ValueError):
-            max_subtree_fraction(RecursiveTree([]))
-
-    def test_range(self):
-        from rootrank import grow_urrt
-
-        for seed in range(5):
-            t = grow_urrt(200, RngStream(25, seed))
-            f = max_subtree_fraction(t)
-            assert 0.0 < f < 1.0
