@@ -15,15 +15,17 @@ subtree sizes and rerooting identities:
   passes through the vertex (larger wins).
 * Degree (larger wins).
 
-All scorers but degree start from the subtree sizes, whose bottom-up
-pass is a Python loop because each size needs its children's first.  Reductions
-that do not depend on visiting order are single numpy calls over the
-parent and size arrays: jordan's largest child (``np.maximum.at``), the
+All scorers but degree start from the subtree sizes.  Reductions that
+do not depend on visiting order are single numpy calls over the parent
+and size arrays: jordan's largest child (``np.maximum.at``), the
 betweenness power sums (``np.add.at``), degree (``np.bincount``) and the
-root's total distance (the sum of sizes[2:]).  The rerooting sums of
-closeness and rumor stay Python loops from the root down, since each
-vertex adds its gain to its parent's finished score; rumor's loop also
-fixes the rounding order that ``rumor_band`` bounds.
+root's total distance (the sum of sizes[2:]).  The passes that do depend
+on it, the bottom-up sizes and the root-down rerooting sums of closeness
+and rumor (``_root_down``), take one numpy call per level of the tree's
+cached level order, or one Python loop over the vertices on trees too tall
+for that to pay (``tree.wide_levels``).  Either way each vertex's score is
+one addition of its parent's finished score and its own gain, so rumor's
+rounding, which ``rumor_band`` bounds, is the same in both.
 
 Ties are always broken pessimistically: among equally central vertices
 the one inserted later (larger label) ranks first.  ``rank_vertices``
@@ -40,11 +42,30 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree import RecursiveTree, subtree_sizes
+from .tree import Levels, RecursiveTree, subtree_sizes, wide_levels
 
 
 class ScoreOverflowError(OverflowError):
     """Scores would not fit 64-bit integers for the requested (n, q)."""
+
+
+def _check_closeness_int64(n: int) -> None:
+    """Raise unless every total distance on an n-vertex tree fits int64.
+
+    The largest is at the end of a path: 1 + 2 + ... + (n - 1) = n(n - 1)/2.
+    """
+    if n * (n - 1) // 2 >= 2**63:
+        raise ScoreOverflowError(f"closeness scores overflow 64-bit integers for n={n}")
+
+
+def _check_betweenness_int64(n: int, q: int) -> None:
+    """Raise unless the q-th power sums on an n-vertex tree fit int64."""
+    if n > 1 and 2 * (n - 1) ** q >= 2**63:
+        raise ScoreOverflowError(
+            f"betweenness scores overflow 64-bit integers for n={n}, q={q}"
+        )
+    if q == 2 and n > 10**8:
+        raise ScoreOverflowError(f"n={n} exceeds the enforced bound 1e8 for q=2")
 
 
 @dataclass(frozen=True)
@@ -138,15 +159,35 @@ def closeness_scores(
     A vertex at depth d lies in the subtrees of d non-root vertices, itself
     and its ancestors below the root, so the root's total is sum(sizes[2:]).
     """
-    sizes = _sizes_or(tree, sizes)
     n = tree.n
-    par = tree.parent.tolist()
-    s = sizes.tolist()
-    out = [0] * (n + 1)
-    out[1] = int(sizes[2:].sum())
-    for v in range(2, n + 1):
-        out[v] = out[par[v]] + n - 2 * s[v]
-    return np.array(out, dtype=np.int64)
+    _check_closeness_int64(n)
+    sizes = _sizes_or(tree, sizes)
+    root = int(sizes[2:].sum())
+    return _root_down(tree.parent, root, n - 2 * sizes, wide_levels(tree))
+
+
+def _root_down(
+    parent: np.ndarray, first: int | float, gain: np.ndarray, levels: Levels | None
+) -> np.ndarray:
+    """``out[1] = first`` and ``out[v] = out[parent[v]] + gain[v]`` for v >= 2.
+
+    One numpy call per level, or without levels one loop over the vertices
+    in label order; parents come first either way.  The result has
+    ``gain``'s dtype and slot 0 is 0.
+    """
+    n = parent.size - 1
+    if levels is None:
+        out = [0] * (n + 1)
+        out[1] = first
+        for v, p, g in zip(range(2, n + 1), parent[2:].tolist(), gain[2:].tolist()):
+            out[v] = out[p] + g
+        return np.array(out, dtype=gain.dtype)
+    out = np.zeros(n + 1, dtype=gain.dtype)
+    out[1] = first
+    for d in range(1, levels.height + 1):
+        idx = levels.level(d)
+        out[idx] = out[parent[idx]] + gain[idx]
+    return out
 
 
 # Float64 log is within 1 ulp (NumPy's accuracy tests hold np.log to that;
@@ -196,6 +237,10 @@ def rumor_band(n: int, height: int) -> float:
     6e-12.  The bound holds for sums along any paths of at most
     ``height`` edges from one start vertex, and no path in a tree has
     more than n - 1 edges, so ``height = n - 1`` is sound for any shape.
+    ``_root_down`` runs the sums level by level or vertex by vertex, but
+    either way each score is one rounded addition of its parent's finished
+    score and its own gain, so every root path has the same rounding
+    sequence and the bound covers both.
     """
     if n < 2 or height < 1:
         return 0.0
@@ -231,29 +276,22 @@ def rumor_scores(
     """Log rumor scores plus the exact comparison handle.
 
     log phi(root) = sum over v != root of log size(v); rerooting adds
-    log(n - size) - log(size) along each edge.  The comparator keeps the
-    root-relative sums and the height, both from the same pass.
+    log(n - size) - log(size) along each edge.  ``_root_down`` sums those
+    gains from the root; the comparator keeps the root-relative sums and
+    the height of the tree's cached levels.
     """
     sizes = _sizes_or(tree, sizes)
     n = tree.n
-    rel = [0.0] * (n + 1)
+    gain = np.zeros(n + 1, dtype=np.float64)
     root_score = 0.0
-    height = 0
     if n > 1:
         logs = np.log(sizes[2:].astype(np.float64))
-        log_above = np.log((n - sizes[2:]).astype(np.float64))
+        gain[2:] = np.log((n - sizes[2:]).astype(np.float64)) - logs
         root_score = float(np.sum(logs))
-        gain = (log_above - logs).tolist()
-        par = tree.parent.tolist()
-        depth = [0] * (n + 1)
-        for v, p, g in zip(range(2, n + 1), par[2:], gain):
-            rel[v] = rel[p] + g
-            depth[v] = depth[p] + 1
-        height = max(depth)
-    rel = np.array(rel, dtype=np.float64)
+    rel = _root_down(tree.parent, 0.0, gain, wide_levels(tree))
     out = rel + root_score
     out[0] = 0.0
-    return out, RumorComparator(tree, sizes, rel, height)
+    return out, RumorComparator(tree, sizes, rel, tree.levels.height)
 
 
 def betweenness_sq_scores(
@@ -263,12 +301,7 @@ def betweenness_sq_scores(
     if q < 2:
         raise ValueError("q must be >= 2")
     n = tree.n
-    if n > 1 and 2 * (n - 1) ** q >= 2**63:
-        raise ScoreOverflowError(
-            f"betweenness scores overflow 64-bit integers for n={n}, q={q}"
-        )
-    if q == 2 and n > 10**8:
-        raise ScoreOverflowError(f"n={n} exceeds the enforced bound 1e8 for q=2")
+    _check_betweenness_int64(n, q)
     sizes = _sizes_or(tree, sizes)
     # Components left by removing v add up to n - 1 vertices, so no sum
     # exceeds (n - 1)^q and the guard above keeps these int64 sums exact.

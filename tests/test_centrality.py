@@ -45,9 +45,9 @@ from rootrank import (
     subtree_sizes,
     verify_tree,
 )
-from rootrank.centrality import phi_sign
+from rootrank.centrality import _check_closeness_int64, _root_down, phi_sign
 from rootrank.oracles import oracle_betweenness_sq, oracle_jordan, oracle_rank, oracle_rumor
-from rootrank.tree import enumerate_recursive_trees
+from rootrank.tree import enumerate_recursive_trees, wide_levels
 
 from conftest import adversarial_compact, compact_strategy, twin_compact
 
@@ -247,6 +247,15 @@ class TestBetweennessFamily:
         with pytest.raises(ScoreOverflowError):
             compute_profile(t4, betweenness_q(70))
 
+    def test_closeness_int64_rule(self):
+        # a total distance is at most n(n - 1)/2; find the last n it fits
+        n = math.isqrt(2**64)
+        while n * (n - 1) // 2 >= 2**63:
+            n -= 1
+        _check_closeness_int64(n)
+        with pytest.raises(ScoreOverflowError):
+            _check_closeness_int64(n + 1)
+
     @pytest.mark.parametrize("q", [3, 22])
     def test_power_sums_match_oracle_n8(self, q):
         # int64 sums of q-th powers, up to the largest q the guard admits
@@ -277,3 +286,51 @@ class TestRerootingIdentities:
         logs, _ = rumor_scores(t4)
         sizes = subtree_sizes(t4)
         assert abs(logs[1] - sum(math.log(int(s)) for s in sizes[2:])) < 1e-12
+
+
+def _caterpillar(n, spine, seed):
+    rng = np.random.default_rng(seed)
+    return [v - 1 if v <= spine else int(rng.integers(1, spine + 1)) for v in range(2, n + 1)]
+
+
+class TestLevelBranches:
+    """The per-level passes and the vertex loops, each against the oracles."""
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            RecursiveTree([1] * 199),
+            # root, its 11 children, and 288 grandchildren spread over them
+            RecursiveTree([1] * 11 + [2 + (v - 13) % 11 for v in range(13, 301)]),
+            grow_urrt(600, RngStream(61, 0)),
+            grow_urrt(700, RngStream(61, 1)),
+        ],
+        ids=["star", "broom2", "urrt600", "urrt700"],
+    )
+    def test_level_branch_against_oracles(self, tree):
+        assert wide_levels(tree) is not None
+        verify_tree(tree)
+
+    @pytest.mark.parametrize(
+        "compact",
+        [list(range(1, 250)), _caterpillar(250, 60, 0), _caterpillar(250, 10, 1)],
+        ids=["path", "caterpillar60", "caterpillar10"],
+    )
+    def test_vertex_loop_against_oracles(self, compact):
+        tree = RecursiveTree(compact)
+        assert wide_levels(tree) is None
+        verify_tree(tree)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_branches_agree(self, seed):
+        # byte-equal: every vertex is the same addition of the same operands
+        tree = grow_urrt(10_000, RngStream(62, seed))
+        levels = wide_levels(tree)
+        assert levels is not None
+        sizes = subtree_sizes(tree)
+        gain = np.zeros(tree.n + 1)
+        gain[2:] = np.log((tree.n - sizes[2:]).astype(np.float64)) - np.log(sizes[2:].astype(np.float64))
+        for first, g in ((int(sizes[2:].sum()), tree.n - 2 * sizes), (0.0, gain)):
+            slow = _root_down(tree.parent, first, g, None)
+            fast = _root_down(tree.parent, first, g, levels)
+            assert slow.dtype == fast.dtype and slow.tobytes() == fast.tobytes()

@@ -7,6 +7,8 @@ index arrays to fixed values, so a refactor that changes a single byte
 of them fails here.  The first three were taken before the measure
 registry, the draw-to-parent map and the engine's size pass were each
 moved to one place; the engine's before its ranks moved to local walks.
+The 300-vertex ``centrality`` tree takes the per-tree scorers' vertex
+loops and the 20000-vertex one their per-level passes.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from rootrank import (
 )
 from rootrank.cli import main
 from rootrank.engine import rank_index_sweep_chunk
+from rootrank.tree import wide_levels
 
 
 def _sha256(text: str) -> str:
@@ -66,14 +69,27 @@ def test_persistence_csv_bytes():
     )
 
 
-def test_centrality_all_bytes(capsys, tmp_path, monkeypatch):
+def _centrality_all(capsys, tmp_path, monkeypatch, tree) -> tuple[str, str]:
     # Relative paths keep the CSV's metadata line free of the temp directory.
     monkeypatch.chdir(tmp_path)
-    write_edge_list(grow_urrt(300, RngStream(5)), "tree.txt")
+    write_edge_list(tree, "tree.txt")
     assert main(["centrality", "--in", "tree.txt", "--out", "profile.csv"]) == 0
-    assert _sha256(capsys.readouterr().out) == (
-        "5343113af6e85199e884a33293969dc5eee72e93b4d0de50909fba6c15b2b9f4"
+    return _sha256(capsys.readouterr().out), _sha256((tmp_path / "profile.csv").read_text())
+
+
+def test_centrality_all_bytes(capsys, tmp_path, monkeypatch):
+    tree = grow_urrt(300, RngStream(5))
+    assert _centrality_all(capsys, tmp_path, monkeypatch, tree) == (
+        "5343113af6e85199e884a33293969dc5eee72e93b4d0de50909fba6c15b2b9f4",
+        "bc5a94c11938d4be5d0c1eff2bb3f0f7bf062b59a06421614550ffbff4c90506",
     )
-    assert _sha256((tmp_path / "profile.csv").read_text()) == (
-        "bc5a94c11938d4be5d0c1eff2bb3f0f7bf062b59a06421614550ffbff4c90506"
+
+
+def test_centrality_all_bytes_level_passes(capsys, tmp_path, monkeypatch):
+    # Taken before the per-level passes existed, from the vertex loops.
+    tree = grow_urrt(20_000, RngStream(5))
+    assert wide_levels(tree) is not None
+    assert _centrality_all(capsys, tmp_path, monkeypatch, tree) == (
+        "b2eb943bd2bd8457734ac50427432994d76dca83cb99f1c0174143c5ebbc1cbd",
+        "c66fd46bfbafdc9c577b4dc371ac1d43939992fa1389c498ff5e921b0de9d335",
     )

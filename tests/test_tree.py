@@ -18,6 +18,7 @@ from rootrank import (
     write_edge_list,
 )
 from rootrank.engine import generate_parent_matrix
+from rootrank.tree import _sizes, depth_dtype, wide_levels
 
 from conftest import compact_strategy
 
@@ -136,3 +137,53 @@ class TestEnumeration:
         compacts = [tuple(t.parent[2:].tolist()) for t in enumerate_recursive_trees(5)]
         assert compacts == sorted(set(compacts))
         assert len(compacts) == 24
+
+
+def _direct_depths(tree):
+    par = tree.parent.tolist()
+    depth = [0] * (tree.n + 1)
+    for v in range(2, tree.n + 1):
+        depth[v] = depth[par[v]] + 1
+    return depth
+
+
+class TestLevels:
+    @pytest.mark.parametrize(
+        "compact",
+        [[], [1], [1, 1, 3], [1] * 99, list(range(1, 300)), [min(v - 1, 40) for v in range(2, 200)]],
+        ids=["n1", "n2", "t4", "star", "path", "broom"],
+    )
+    def test_depths_match_direct_loop(self, compact):
+        tree = RecursiveTree(compact)
+        levels = tree.levels
+        depth = _direct_depths(tree)
+        assert levels.depth.tolist() == depth
+        assert levels.height == max(depth[1:])
+        assert levels.bounds[0] == 0 and levels.bounds[-1] == tree.n
+        for d in range(levels.height + 1):
+            assert levels.level(d).tolist() == [v for v in range(1, tree.n + 1) if depth[v] == d]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(compact_strategy(max_n=200))
+    def test_depths_property(self, compact):
+        tree = RecursiveTree(list(compact))
+        assert tree.levels.depth.tolist() == _direct_depths(tree)
+
+    def test_cached(self):
+        tree = grow_urrt(1000, RngStream(3))
+        assert tree.levels is tree.levels
+        assert tree.levels.depth.dtype == np.int32
+
+    def test_depth_dtype_rule(self):
+        # int32 holds every depth and partial depth while n + 1 < 2^31
+        assert depth_dtype(1) is np.int32
+        assert depth_dtype(2**31 - 2) is np.int32
+        assert depth_dtype(2**31 - 1) is np.int64
+        assert depth_dtype(10**12) is np.int64
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_size_branches_agree(self, seed):
+        tree = grow_urrt(10_000, RngStream(31, seed))
+        levels = wide_levels(tree)
+        assert levels is not None
+        assert np.array_equal(_sizes(tree.parent, None), _sizes(tree.parent, levels))
