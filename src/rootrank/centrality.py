@@ -335,9 +335,9 @@ def degree_scores(tree: RecursiveTree) -> np.ndarray:
 
 
 def _rank_exact(scores_view: np.ndarray, larger_is_central: bool) -> np.ndarray:
-    labels = np.arange(1, scores_view.size + 1)
     key = -scores_view if larger_is_central else scores_view
-    return np.lexsort((-labels, key))
+    # A stable sort of the reversed keys puts the larger label first on ties.
+    return (key.size - 1) - np.argsort(key[::-1], kind="stable")
 
 
 def rank_vertices(

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -134,36 +134,30 @@ class ExperimentConfig:
         return self.stride or _persistence.default_stride(self.horizon)
 
 
-_REQUIRED_KEYS = ("experiment", "seed")
-_TUPLE_KEYS = {"measures", "n", "x_grid", "k_grid", "coverage_k", "urn_a", "t_grid"}
-_INT_KEYS = {"seed", "reps", "workers", "horizon", "stride", "trajectories", "runs"}
-_FLOAT_KEYS = {"threshold"}
+# Parser per ExperimentConfig field annotation (strings, as annotations are
+# postponed in this module); list values split on commas or whitespace.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "tuple[str, ...]": lambda value: tuple(value.replace(",", " ").split()),
+    "tuple[int, ...]": lambda value: tuple(int(p) for p in value.replace(",", " ").split()),
+}
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     """Build a config from flat string key=value pairs (CLI config files)."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    specs = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = set(raw) - set(specs)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    for key, spec in specs.items():
+        if spec.default is MISSING and key not in raw:
             raise ConfigError(f"missing required config key: {key}")
     kwargs: dict = {}
     for key, value in raw.items():
         try:
-            if key in _TUPLE_KEYS:
-                parts = [p for p in value.replace(",", " ").split() if p]
-                if key == "measures":
-                    kwargs[key] = tuple(parts)
-                else:
-                    kwargs[key] = tuple(int(p) for p in parts)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            kwargs[key] = _PARSERS[specs[key].type](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return ExperimentConfig(**kwargs)
@@ -275,16 +269,23 @@ def _mean_record(
 # -- batched tree sweeps -----------------------------------------------------
 
 
-def _rank_chunk_job(args) -> tuple[int, dict]:
-    seed, n, start, stop, measures, stream_base = args
-    return start, rank_index_sweep_chunk(seed, n, start, stop, measures, stream_base)
+def _map_jobs(job_fn, jobs: list[tuple], workers: int) -> list:
+    """``job_fn(*job)`` for each job, in job order.
 
-
-def _map_jobs(jobs, job_fn, workers: int):
+    A Pool hands out one job at a time, so one slow job (trajectory costs
+    are heavy-tailed) does not hold back a batch of others.
+    """
     if workers <= 1 or len(jobs) <= 1:
-        return [job_fn(j) for j in jobs]
+        return [job_fn(*job) for job in jobs]
     with Pool(min(workers, len(jobs))) as pool:
-        return list(pool.imap(job_fn, jobs))
+        return pool.starmap(job_fn, jobs, chunksize=1)
+
+
+# Job functions sit at module level, where a Pool can pickle them, and look up
+# what they call when they run: a wrapper put on ``rank_index_sweep_chunk`` or
+# ``persistence.run_trajectory`` before the Pool forks reaches the workers.
+def _rank_chunk_job(*args) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    return rank_index_sweep_chunk(*args)
 
 
 def run_rank_index_sweep(
@@ -305,22 +306,19 @@ def run_rank_index_sweep(
         (seed, n, start, stop, tuple(measures), stream_base)
         for start, stop in replicate_chunks(reps, rows)
     ]
-    out = {
-        tag: (np.empty(reps, dtype=np.int64), np.empty(reps, dtype=np.int64))
+    chunks = _map_jobs(_rank_chunk_job, jobs, workers)
+    return {
+        tag: (
+            np.concatenate([stats[tag][0] for stats in chunks]),
+            np.concatenate([stats[tag][1] for stats in chunks]),
+        )
         for tag in measures
     }
-    for start, stats in _map_jobs(jobs, _rank_chunk_job, workers):
-        for tag, (rank, index) in stats.items():
-            stop = start + len(rank)
-            out[tag][0][start:stop] = rank
-            out[tag][1][start:stop] = index
-    return out
 
 
-def _fraction_chunk_job(args) -> tuple[int, np.ndarray]:
-    seed, n, start, stop, stream_base = args
+def _fraction_chunk_job(seed, n, start, stop, stream_base) -> np.ndarray:
     parents = generate_parent_matrix(seed, n, start, stop, stream_base)
-    return start, max_root_fraction_batch(parents, n)
+    return max_root_fraction_batch(parents, n)
 
 
 def run_max_fraction_sweep(
@@ -332,16 +330,17 @@ def run_max_fraction_sweep(
         (seed, n, start, stop, stream_base)
         for start, stop in replicate_chunks(reps, rows)
     ]
-    out = np.empty(reps, dtype=np.float64)
-    for start, frac in _map_jobs(jobs, _fraction_chunk_job, workers):
-        out[start : start + len(frac)] = frac
-    return out
+    return np.concatenate(_map_jobs(_fraction_chunk_job, jobs, workers))
 
 
 # -- tree experiments --------------------------------------------------------
 
 
-def _sweep_per_n(config: ExperimentConfig):
+def _tree_records(config: ExperimentConfig) -> list[ResultRecord]:
+    kind = config.experiment
+    seed = config.seed
+    reps = config.reps
+    records: list[ResultRecord] = []
     for gi, n in enumerate(config.n):
         stats = run_rank_index_sweep(
             config.seed,
@@ -351,15 +350,6 @@ def _sweep_per_n(config: ExperimentConfig):
             config.workers,
             stream_base=gi * _STREAM_BLOCK,
         )
-        yield n, stats
-
-
-def _tree_records(config: ExperimentConfig) -> list[ResultRecord]:
-    kind = config.experiment
-    seed = config.seed
-    reps = config.reps
-    records: list[ResultRecord] = []
-    for n, stats in _sweep_per_n(config):
         for tag in config.measures:
             rank, index = stats[tag]
             if kind == "root-center-probability":
@@ -418,8 +408,7 @@ def _tree_records(config: ExperimentConfig) -> list[ResultRecord]:
 # -- persistence -------------------------------------------------------------
 
 
-def _trajectory_job(args) -> _persistence.TrajectoryResult:
-    seed, horizon, stride, rep, keep = args
+def _trajectory_job(seed, horizon, stride, rep, keep) -> _persistence.TrajectoryResult:
     return _persistence.run_trajectory(
         horizon, RngStream(seed, rep), stride=stride, keep_series=keep, replicate=rep
     )
@@ -433,7 +422,7 @@ def _persistence_records(
         (config.seed, config.horizon, stride, rep, keep_series)
         for rep in range(config.trajectories)
     ]
-    results = _map_jobs(jobs, _trajectory_job, config.workers)
+    results = _map_jobs(_trajectory_job, jobs, config.workers)
     records = []
     reps = config.trajectories
     for tag in SWEEP_MEASURES:
@@ -471,23 +460,20 @@ def persistence_dump_csv(results: list[_persistence.TrajectoryResult]) -> str:
 # -- urn experiments ---------------------------------------------------------
 
 
-def _hoppe_chunk_job(args) -> tuple[int, list[int]]:
-    seed, horizon, start, stop = args
+def _hoppe_chunk_job(seed, horizon, start, stop) -> list[int]:
     out = []
     for rep in range(start, stop):
         run = _urns.hoppe_run(horizon, RngStream(seed, rep).generator())
         out.append(int(run.change_times[-1]) if len(run.change_times) else 0)
-    return start, out
+    return out
 
 
-def _polya_chunk_job(args) -> tuple[int, int, np.ndarray]:
-    seed, a_index, a, threshold, horizon, start, stop = args
+def _polya_chunk_job(seed, a_index, a, threshold, horizon, start, stop) -> int:
     gens = [
         RngStream(seed, a_index * _STREAM_BLOCK + rep).generator()
         for rep in range(start, stop)
     ]
-    hits = _urns.polya_diagonal_hits(a, threshold, horizon, gens)
-    return a_index, start, hits
+    return int(_urns.polya_diagonal_hits(a, threshold, horizon, gens).sum())
 
 
 def _hoppe_records(config: ExperimentConfig) -> list[ResultRecord]:
@@ -495,9 +481,7 @@ def _hoppe_records(config: ExperimentConfig) -> list[ResultRecord]:
         (config.seed, config.horizon, start, stop)
         for start, stop in replicate_chunks(config.runs, _URN_CHUNK)
     ]
-    last = np.empty(config.runs, dtype=np.int64)
-    for start, times in _map_jobs(jobs, _hoppe_chunk_job, config.workers):
-        last[start : start + len(times)] = times
+    last = np.concatenate(_map_jobs(_hoppe_chunk_job, jobs, config.workers))
     records = []
     for t in config.t_grid:
         records.append(
@@ -516,15 +500,13 @@ def _polya_records(config: ExperimentConfig) -> list[ResultRecord]:
             jobs.append(
                 (config.seed, ai, a, config.threshold, config.horizon, start, stop)
             )
-    hit_count = {ai: 0 for ai in range(len(config.urn_a))}
-    for ai, _start, hits in _map_jobs(jobs, _polya_chunk_job, config.workers):
-        hit_count[ai] += int(hits.sum())
+    hits = np.reshape(_map_jobs(_polya_chunk_job, jobs, config.workers), (len(config.urn_a), -1))
     records = []
-    for ai, a in enumerate(config.urn_a):
+    for a, a_hits in zip(config.urn_a, hits.sum(axis=1).tolist()):
         records.append(
             _binomial_record(
                 "polya", config.horizon, "diagonal_hit", str(a),
-                hit_count[ai], config.runs, config.seed,
+                a_hits, config.runs, config.seed,
             )
         )
     return records

@@ -291,10 +291,3 @@ def enumerate_recursive_trees(n: int) -> Iterator[RecursiveTree]:
     for compact in itertools.product(*(range(1, v) for v in range(2, n + 1))):
         yield RecursiveTree(compact, validate=False)
 
-
-def num_recursive_trees(n: int) -> int:
-    out = 1
-    for v in range(2, n + 1):
-        out *= v - 1
-    return out
-

@@ -57,18 +57,12 @@ def polya_run(
     return np.array(rows, dtype=np.int64)
 
 
-def polya_final_counts(
-    a: int,
-    steps: int,
-    gens: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Final x-ball counts for many replicates, one generator each.
+def _polya_steps(x: np.ndarray, a: int, steps: int, gens: Sequence[np.random.Generator]):
+    """Advance the x-ball counts ``x`` in place, one draw per replicate and step.
 
-    Vectorizes over replicates while each replicate consumes exactly one
-    uniform per step from its own stream (same draws as single runs).
+    Yields the ball total after each step.  Each replicate consumes exactly
+    one uniform per step from its own stream (same draws as single runs).
     """
-    reps = len(gens)
-    x = np.full(reps, a, dtype=np.int64)
     done = 0
     while done < steps:
         blk = min(_TIME_BLOCK, steps - done)
@@ -76,7 +70,19 @@ def polya_final_counts(
         for j in range(blk):
             tot = a + 1 + done + j
             x += u[:, j] * tot < x
+            yield tot + 1
         done += blk
+
+
+def polya_final_counts(
+    a: int,
+    steps: int,
+    gens: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Final x-ball counts for many replicates, one generator each."""
+    x = np.full(len(gens), a, dtype=np.int64)
+    for _ in _polya_steps(x, a, steps, gens):
+        pass
     return x
 
 
@@ -92,18 +98,10 @@ def polya_diagonal_hits(
     some t <= horizon; the true (infinite-horizon) probability is at
     least the mean of this array.
     """
-    reps = len(gens)
-    x = np.full(reps, a, dtype=np.int64)
+    x = np.full(len(gens), a, dtype=np.int64)
     hit = x < threshold * (a + 1)
-    done = 0
-    while done < horizon:
-        blk = min(_TIME_BLOCK, horizon - done)
-        u = np.stack([g.random(blk) for g in gens])
-        for j in range(blk):
-            tot = a + 1 + done + j
-            x += u[:, j] * tot < x
-            hit |= x < threshold * (tot + 1)
-        done += blk
+    for tot in _polya_steps(x, a, horizon, gens):
+        hit |= x < threshold * tot
     return hit
 
 

@@ -17,7 +17,7 @@ tie handling.
 import pytest
 from hypothesis import strategies as st
 
-from rootrank import RecursiveTree
+from rootrank.tree import RecursiveTree
 
 
 def compact_strategy(max_n: int = 24):

@@ -19,23 +19,21 @@ from scipy import stats as scipy_stats
 
 from rootrank import (
     MEASURES,
-    SWEEP_MEASURES,
     ExperimentConfig,
-    RecursiveTree,
     RngStream,
     compute_profile,
     generate_parent_matrix,
     grow_urrt,
     rank_index_batch,
     run_experiment,
-    run_max_fraction_sweep,
-    run_rank_index_sweep,
-    run_trajectory,
-    sample_dickman_many,
     subtree_sizes,
-    verify_exhaustive,
 )
-from rootrank.oracles import exact_degree_root_probability
+from rootrank.centrality import SWEEP_MEASURES
+from rootrank.experiments import run_max_fraction_sweep, run_rank_index_sweep
+from rootrank.oracles import exact_degree_root_probability, verify_exhaustive
+from rootrank.persistence import run_trajectory
+from rootrank.tree import RecursiveTree
+from rootrank.urns import sample_dickman_many
 
 pytestmark = pytest.mark.acceptance
 

@@ -20,34 +20,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootrank import (
+from rootrank import MEASURES, RngStream, compute_profile, grow_urrt, subtree_sizes
+from rootrank.centrality import (
     BETWEENNESS_PAIRS,
     BETWEENNESS_SQ,
     CLOSENESS,
     DEGREE,
     JORDAN,
-    MEASURES,
     RUMOR,
-    RecursiveTree,
-    RngStream,
     ScoreOverflowError,
+    _check_closeness_int64,
+    _root_down,
     betweenness_pairs_scores,
     betweenness_q,
     betweenness_sq_scores,
     closeness_scores,
-    compute_profile,
     degree_scores,
-    grow_urrt,
     jordan_scores,
+    phi_sign,
     profile_csv,
     rank_vertices,
     rumor_scores,
-    subtree_sizes,
+)
+from rootrank.oracles import (
+    oracle_betweenness_sq,
+    oracle_jordan,
+    oracle_rank,
+    oracle_rumor,
     verify_tree,
 )
-from rootrank.centrality import _check_closeness_int64, _root_down, phi_sign
-from rootrank.oracles import oracle_betweenness_sq, oracle_jordan, oracle_rank, oracle_rumor
-from rootrank.tree import enumerate_recursive_trees, wide_levels
+from rootrank.tree import RecursiveTree, enumerate_recursive_trees, wide_levels
 
 from conftest import adversarial_compact, compact_strategy, twin_compact
 

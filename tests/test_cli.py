@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from rootrank import jordan_scores
+from rootrank.centrality import jordan_scores
 from rootrank.cli import main
 
 T4_EDGES = "4\n2 1\n3 1\n4 3\n"

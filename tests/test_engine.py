@@ -11,17 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import (
-    SWEEP_MEASURES,
-    RecursiveTree,
     RngStream,
     compute_profile,
     generate_parent_matrix,
     grow_urrt,
-    jordan_scores,
-    max_root_fraction_batch,
     rank_index_batch,
 )
-from rootrank.engine import chunk_rows, rank_index_sweep_chunk, replicate_chunks
+from rootrank.centrality import SWEEP_MEASURES, jordan_scores
+from rootrank.engine import (
+    chunk_rows,
+    max_root_fraction_batch,
+    rank_index_sweep_chunk,
+    replicate_chunks,
+)
+from rootrank.tree import RecursiveTree
 
 from conftest import adversarial_compact, compact_strategy
 

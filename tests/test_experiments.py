@@ -11,23 +11,31 @@ import numpy as np
 import pytest
 
 from rootrank import (
-    ConfigError,
     ExperimentConfig,
     RngStream,
-    config_from_mapping,
-    grow_urrt,
-    jordan_scores,
-    rank_index_batch,
+    compute_profile,
     generate_parent_matrix,
+    grow_urrt,
+    rank_index_batch,
     run_experiment,
+)
+from rootrank.centrality import SWEEP_MEASURES, jordan_scores
+from rootrank.engine import chunk_rows, replicate_chunks
+from rootrank.experiments import (
+    ConfigError,
+    _config_hash,
+    _mean_record,
+    config_from_mapping,
+    persistence_dump_csv,
     run_max_fraction_sweep,
     run_rank_index_sweep,
 )
-from rootrank.experiments import (
-    _config_hash,
-    _mean_record,
-    persistence_dump_csv,
-)
+
+
+# A sweep of 9000 replicates at n = 20 runs as three chunks; _LATER holds
+# replicates after the first one: chunk edges and a seeded sample.
+_N, _REPS = 20, 9000
+_LATER = sorted({4096, 8191, 8192, 8999, *np.random.default_rng(0).integers(4097, 8999, 6).tolist()})
 
 
 def _cfg(**overrides):
@@ -179,6 +187,29 @@ class TestSweeps:
         b = run_max_fraction_sweep(5, 300, 40, workers=3)
         assert a.tolist() == b.tolist()
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rank_sweep_later_chunks_match_per_tree(self, workers):
+        chunks = replicate_chunks(_REPS, chunk_rows(_N, _REPS))
+        assert chunks == [(0, 4096), (4096, 8192), (8192, 9000)]
+        # A chunk reassembled out of order puts other trees at these slots.
+        stats = run_rank_index_sweep(17, _N, _REPS, workers=workers, stream_base=500)
+        for tag in SWEEP_MEASURES:
+            assert stats[tag][0].shape == stats[tag][1].shape == (_REPS,)
+        for i in _LATER:
+            tree = grow_urrt(_N, RngStream(17, 500 + i))
+            for tag, measure in SWEEP_MEASURES.items():
+                report = compute_profile(tree, measure).report
+                assert stats[tag][0][i] == report.root_rank, (tag, i)
+                assert stats[tag][1][i] == report.center_index, (tag, i)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_fraction_sweep_later_chunks_match_per_tree(self, workers):
+        frac = run_max_fraction_sweep(19, _N, _REPS, workers=workers, stream_base=700)
+        assert frac.shape == (_REPS,)
+        for i in _LATER:
+            tree = grow_urrt(_N, RngStream(19, 700 + i))
+            assert frac[i] == jordan_scores(tree)[1] / _N, i
+
 
 class TestTreeExperimentStats:
     def test_probability_record(self):
@@ -239,6 +270,10 @@ class TestWorkerDeterminism:
         ("persistence", dict(horizon=300, stride=10, trajectories=24)),
         ("hoppe-leader-change", dict(horizon=400, runs=40, t_grid=(10, 100))),
         ("polya-diagonal-hit", dict(horizon=300, runs=40, urn_a=(1, 2))),
+        # at least three chunks each, so workers=3 runs them on a Pool
+        ("expected-center-index", dict(n=(_N,), reps=_REPS)),
+        ("hoppe-leader-change", dict(horizon=400, runs=300, t_grid=(10, 100))),
+        ("polya-diagonal-hit", dict(horizon=300, runs=300, urn_a=(1, 2))),
     ])
     def test_csv_identical_across_worker_counts(self, kind, extra):
         r1, _ = run_experiment(ExperimentConfig(experiment=kind, seed=3, workers=1, **extra))

@@ -16,17 +16,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from rootrank import (
-    SWEEP_MEASURES,
-    ExperimentConfig,
-    RngStream,
-    grow_urrt,
-    run_experiment,
-    write_edge_list,
-)
+from rootrank import ExperimentConfig, RngStream, grow_urrt, run_experiment
+from rootrank.centrality import SWEEP_MEASURES
 from rootrank.cli import main
 from rootrank.engine import rank_index_sweep_chunk
-from rootrank.tree import wide_levels
+from rootrank.tree import wide_levels, write_edge_list
 
 
 def _sha256(text: str) -> str:

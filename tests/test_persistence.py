@@ -10,18 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootrank import (
-    SWEEP_MEASURES,
-    RecursiveTree,
-    RngStream,
-    compute_profile,
-    grow_urrt,
-    jordan_scores,
+from rootrank import RngStream, compute_profile, grow_urrt, subtree_sizes
+from rootrank.centrality import CENTROID_GROUP, SWEEP_MEASURES, jordan_scores
+from rootrank.persistence import (
+    _Trajectory,
+    checkpoint_grid,
+    default_stride,
     run_trajectory,
-    subtree_sizes,
 )
-from rootrank.centrality import CENTROID_GROUP
-from rootrank.persistence import _Trajectory, checkpoint_grid, default_stride
+from rootrank.tree import RecursiveTree
 from rootrank.walks import ball_ranks, betweenness_stats, jordan_rank
 
 from conftest import adversarial_compact, compact_strategy

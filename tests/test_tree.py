@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from rootrank import (
+from rootrank import RngStream, enumerate_recursive_trees, grow_urrt, subtree_sizes
+from rootrank.engine import generate_parent_matrix
+from rootrank.tree import (
     EdgeListParseError,
     RecursiveTree,
-    RngStream,
-    enumerate_recursive_trees,
-    grow_urrt,
-    num_recursive_trees,
+    _sizes,
+    depth_dtype,
     parse_edge_list,
     read_edge_list,
     serialize_tree,
-    subtree_sizes,
+    wide_levels,
     write_edge_list,
 )
-from rootrank.engine import generate_parent_matrix
-from rootrank.tree import _sizes, depth_dtype, wide_levels
 
 from conftest import compact_strategy
 
@@ -127,11 +125,6 @@ class TestSerialization:
 
 
 class TestEnumeration:
-    def test_counts(self):
-        assert num_recursive_trees(1) == 1
-        assert num_recursive_trees(4) == 6
-        assert num_recursive_trees(8) == 5040
-
     def test_enumeration_is_complete_and_indexed(self):
         # tree i is the i-th parent list in mixed-radix (lexicographic) order
         compacts = [tuple(t.parent[2:].tolist()) for t in enumerate_recursive_trees(5)]

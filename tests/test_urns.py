@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from rootrank import (
-    RngStream,
+from rootrank import RngStream
+from rootrank.urns import (
     hoppe_run,
     polya_diagonal_hit_exact,
     polya_diagonal_hits,
