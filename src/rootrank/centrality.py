@@ -202,8 +202,9 @@ def phi_sign(parent: Sequence[int], size: Sequence[int], n: int, a: int, b: int)
     subtree size, so phi(a)/phi(b) telescopes over the path from a to b.
     Labels fall along every path to the root, so the larger of a and b
     is never their common ancestor: stepping it up until they meet walks
-    exactly that path.  ``parent`` and ``size`` are Python int sequences;
-    int64 products would overflow.
+    exactly that path.  ``parent`` and ``size`` are sequences whose items
+    are Python ints, a list or a memoryview of an int64 array; int64
+    products would overflow.
     """
     lhs = rhs = 1
     while a != b:

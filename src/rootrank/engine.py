@@ -4,15 +4,17 @@ The per-tree routines in :mod:`rootrank.centrality` are the reference
 implementation.  For Monte Carlo estimates we need root-rank and
 center-index statistics over tens of thousands of independent trees, and
 looping the per-tree code is too slow in pure Python.  This module grows
-whole batches of trees at once: replicates are laid out as columns of an
-``(n + 1, rows)`` matrix.  Subtree sizes come from one bottom-up loop over
-the vertex rows with vectorized column operations.  Columns are then
-copied contiguous a block at a time: the centroid is one reduction over
-a block's sizes, and degree one ``bincount`` per parent column.  The other
-root ranks, and the betweenness index, come from the local walks of
-:mod:`rootrank.walks` that the growth trajectories use too: per column they
-visit only the few vertices around the centroid, so no score matrix is
-built.
+whole batches of trees at once: replicates are the columns of an
+``(n + 1, rows)`` matrix stored column-major, so every tree is one
+contiguous column.  Columns are reduced in blocks of about 2^16 vertices.
+A block's subtree sizes come from :func:`rootrank.tree.subtree_sizes` on
+one merged tree, the block's columns hung from a common super-root, so
+the per-level numpy calls are shared by every tree of the block.  The
+centroid is one reduction over the block's sizes, and degree one
+``bincount`` per column.  The other root ranks, and the betweenness index,
+come from the local walks of :mod:`rootrank.walks` that the growth
+trajectories use too: per column they visit only the few vertices around
+the centroid, so no score matrix is built.
 
 Replicate ``i`` of a sweep uses the Philox stream ``stream_base + i`` and
 draws exactly the same uniforms as ``grow_urrt`` would on that stream, so
@@ -27,7 +29,7 @@ import numpy as np
 
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
-from .tree import parents_from_draws
+from .tree import RecursiveTree, parents_from_draws, subtree_sizes
 from .walks import ball_ranks, betweenness_stats, jordan_rank
 
 __all__ = [
@@ -39,12 +41,16 @@ __all__ = [
     "rank_index_sweep_chunk",
 ]
 
-# Elements of one (n + 1) x rows int64 matrix of a chunk.  At most two are
-# live at once: the parents and the sizes.
+# Elements of the (n + 1) x rows int64 parent matrix of a chunk, the one
+# chunk-wide matrix; everything else lives one block of columns at a time.
 _CHUNK_ELEMENT_BUDGET = 16_000_000
 _MAX_CHUNK_ROWS = 4096
-# Elements per block of columns copied contiguous for the walks (8 MB of int64).
-_BLOCK_ELEMENTS = 1 << 20
+# Vertices per merged tree of a block: enough trees to share each level's
+# numpy calls, few enough for the block's sizes and levels to stay in
+# cache.  Five measures at n = 10^4 took 874, 777, 735, 747, 826 and 904
+# us per tree for 2^14 .. 2^18 and 2^20 (medians of 7 rounds, 2 cores,
+# numpy 2.4); at 10^3, 2^14 to 2^17 were within 3% and 2^20 19% slower.
+_BLOCK_VERTICES = 1 << 16
 
 
 def chunk_rows(n: int, reps: int) -> int:
@@ -68,9 +74,10 @@ def generate_parent_matrix(
     Column ``j`` holds the tree for replicate ``start + j`` drawn from
     stream ``stream_base + start + j``; entries ``[2:, j]`` are parents,
     rows 0 and 1 are zero padding.  Draws match ``grow_urrt`` exactly.
+    The matrix is column-major, so each column is contiguous.
     """
     rows = stop - start
-    parents = np.zeros((n + 1, rows), dtype=np.int64)
+    parents = np.zeros((n + 1, rows), dtype=np.int64, order="F")
     if n == 1:
         return parents
     for j in range(rows):
@@ -79,14 +86,25 @@ def generate_parent_matrix(
     return parents
 
 
-def _size_pass(parents: np.ndarray, n: int) -> np.ndarray:
-    """Subtree sizes per column, in one bottom-up pass over the vertex rows."""
-    cols = np.arange(parents.shape[1])
-    sizes = np.ones_like(parents)
-    sizes[0] = 0
-    for v in range(n, 1, -1):
-        sizes[parents[v], cols] += sizes[v]
-    return sizes
+def _blocks(parents: np.ndarray, n: int):
+    """Yield ``(lo, columns, sizes)`` per block of parent columns.
+
+    Row ``i`` of ``columns`` and ``sizes``, both ``(k, n + 1)`` and
+    C-contiguous, is column ``lo + i`` and its subtree sizes (slot 0 is
+    unused).  Sizes come from one merged recursive tree: label 1 is a
+    super-root, slot ``v`` of row ``i`` is label ``2 + i (n + 1) + v``,
+    slots 0 and 1 hang from label 1 and every other slot from its parent's
+    label, which stays the smaller one.
+    """
+    width = max(1, _BLOCK_VERTICES // (n + 1))
+    for lo in range(0, parents.shape[1], width):
+        # a view for column-major chunks; one block copy for other layouts
+        columns = np.asfortranarray(parents[:, lo : lo + width]).T
+        k = columns.shape[0]
+        merged = columns + (2 + (n + 1) * np.arange(k))[:, None]
+        merged[:, :2] = 1
+        sizes = subtree_sizes(RecursiveTree(merged.ravel(), validate=False))
+        yield lo, columns, sizes[2:].reshape(k, n + 1)
 
 
 class _Children(dict):
@@ -121,36 +139,32 @@ def rank_index_batch(
 
     out = {tag: (np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64))
            for tag in measures}
+    if "degree" in out:
+        rank, index = out["degree"]
+        for j in range(rows):
+            degree = np.bincount(parents[2:, j], minlength=n + 1)
+            degree[2:] += 1
+            rank[j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
+            index[j] = n - np.argmax(degree[:0:-1])  # largest label on ties
     walked = set(measures) - {"degree"}
+    if not walked:
+        return out
     ball = walked & {"closeness", "rumor"}
-    sizes = _size_pass(parents, n) if walked else None
-    block = max(1, _BLOCK_ELEMENTS // (n + 1))
-    for lo in range(0, rows, block):
-        columns = np.ascontiguousarray(parents[:, lo : lo + block].T)
-        if "degree" in out:
-            rank, index = out["degree"]
-            for j, column in enumerate(columns, lo):
-                degree = np.bincount(column[2:], minlength=n + 1)
-                degree[2:] += 1
-                rank[j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
-                index[j] = n - np.argmax(degree[:0:-1])  # largest label on ties
-        if not walked:
-            continue
-        column_sizes = np.ascontiguousarray(sizes[:, lo : lo + block].T)
+    for lo, columns, block_sizes in _blocks(parents, n):
         # Vertices with 2 s(v) >= n form a path from the root, and labels
         # grow along it, so its largest label is its last vertex: the
         # centroid, or the child of a tied centroid pair.  That is the
         # center index of the centroid group, and the ball walks start there.
-        center = n - np.argmax(column_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
+        center = n - np.argmax(block_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
         for tag in walked.intersection(CENTROID_GROUP):
-            out[tag][1][lo : lo + block] = center
-        for j, column, size, c in zip(range(lo, rows), columns, column_sizes, center.tolist()):
+            out[tag][1][lo : lo + center.size] = center
+        for j, column, sizes, c in zip(range(lo, rows), columns, block_sizes, center.tolist()):
             children = _Children(column)
-            size = size.tolist()
+            size = memoryview(sizes)  # items are Python ints, as the walks need
             if "jordan" in out:
                 out["jordan"][0][j] = jordan_rank(children, size, n)
             if ball:
-                ranks = ball_ranks(column.tolist(), size, children, n, c)
+                ranks = ball_ranks(memoryview(column), size, children, n, c)
                 for tag, rank in zip(("closeness", "rumor"), ranks):
                     if tag in out:
                         out[tag][0][j] = rank
@@ -164,9 +178,9 @@ def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:
     """Largest root-subtree fraction per replicate column."""
     if n < 2:
         raise ValueError("need n >= 2")
-    sizes = _size_pass(parents, n)
-    rooted = np.where(parents[2:] == 1, sizes[2:], 0)
-    return rooted.max(axis=0) / float(n)
+    rooted = [np.where(columns[:, 2:] == 1, sizes[:, 2:], 0).max(axis=1)
+              for _, columns, sizes in _blocks(parents, n)]
+    return np.concatenate(rooted) / float(n)
 
 
 def rank_index_sweep_chunk(

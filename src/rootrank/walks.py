@@ -10,8 +10,10 @@ lists they keep step by step, and the batch engine calls them on
 children found from one parent column on demand.
 
 Every walk reads ``children[v]``, the children of v, and ``size[v]``,
-the subtree sizes, as Python ints; the ball walk also reads
-``parent[v]``.  Scores are exact Python integers, so none can overflow.
+the subtree sizes; the ball walk also reads ``parent[v]``.  ``size`` and
+``parent`` may be any sequences whose items are Python ints, such as a
+list or a memoryview of an int64 array.  Scores are exact Python
+integers, so none can overflow.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ about the same tree, including pessimistic tie handling, and the column
 generator must consume the same draws as grow_urrt.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from rootrank import (
     grow_urrt,
     rank_index_batch,
 )
+from rootrank import engine
 from rootrank.centrality import SWEEP_MEASURES, jordan_scores
 from rootrank.engine import (
     chunk_rows,
@@ -24,7 +27,7 @@ from rootrank.engine import (
     rank_index_sweep_chunk,
     replicate_chunks,
 )
-from rootrank.tree import RecursiveTree
+from rootrank.tree import RecursiveTree, subtree_sizes, wide_levels
 
 from conftest import adversarial_compact, compact_strategy
 
@@ -49,6 +52,11 @@ class TestGeneration:
         parents = generate_parent_matrix(1, 1, 0, 3)
         assert parents.shape == (2, 3)
         assert not parents.any()
+
+    def test_columns_contiguous(self):
+        parents = generate_parent_matrix(4, 30, 0, 5)
+        assert parents.flags.f_contiguous
+        assert parents[:, 2].flags.c_contiguous
 
 
 class TestChunking:
@@ -181,3 +189,79 @@ class TestTieSemantics:
             assert ranks[0] == compute_profile(
                 _column_tree(parents, 0), SWEEP_MEASURES[tag]
             ).report.root_rank
+
+
+class TestBlocks:
+    """Blocks of columns share one merged tree for their subtree sizes.
+
+    The results must not depend on where the block boundaries fall, on the
+    layout of the parent matrix, or on which branch ``subtree_sizes`` takes
+    on the merged tree.
+    """
+
+    def _check(self, parents, n, trees):
+        # trees: {column: RecursiveTree} held to the per-tree references
+        c_order = np.ascontiguousarray(parents)
+        assert c_order.flags.c_contiguous and not c_order.flags.f_contiguous
+        got = rank_index_batch(parents, n)
+        for tag, (rank, index) in rank_index_batch(c_order, n).items():
+            assert got[tag][0].tolist() == rank.tolist(), tag
+            assert got[tag][1].tolist() == index.tolist(), tag
+        fractions = max_root_fraction_batch(parents, n)
+        assert fractions.tolist() == max_root_fraction_batch(c_order, n).tolist()
+        for j, tree in trees.items():
+            assert parents[:, j].tolist() == tree.parent.tolist()
+            for tag, measure in SWEEP_MEASURES.items():
+                report = compute_profile(tree, measure).report
+                assert got[tag][0][j] == report.root_rank, (tag, j)
+                assert got[tag][1][j] == report.center_index, (tag, j)
+            sizes = subtree_sizes(tree)
+            assert fractions[j] == sizes[tree.children[1]].max() / n, j
+
+    def test_several_blocks_ragged_last(self):
+        n, rows, seed, base = 100, 1300, 23, 500
+        width = engine._BLOCK_VERTICES // (n + 1)
+        assert width < rows and rows % width  # several blocks, the last one short
+        parents = generate_parent_matrix(seed, n, 0, rows, stream_base=base)
+        sampled = {0, width - 1, width, 2 * width - 1, 2 * width, rows - 1}
+        self._check(parents, n, {j: grow_urrt(n, RngStream(seed, base + j)) for j in sampled})
+
+    def test_one_column_per_block(self):
+        n, seed, base = 70_000, 29, 7
+        assert engine._BLOCK_VERTICES // (n + 1) == 0  # clamped to one column
+        parents = generate_parent_matrix(seed, n, 0, 2, stream_base=base)
+        self._check(parents, n, {j: grow_urrt(n, RngStream(seed, base + j)) for j in (0, 1)})
+
+    def test_tall_column_takes_vertex_loop(self, monkeypatch):
+        # A broom column with a 1000-edge handle makes the merged tree of
+        # the three columns too tall for level passes.
+        n, seed = 3000, 31
+        parents = generate_parent_matrix(seed, n, 0, 3)
+        broom = RecursiveTree([min(v - 1, 1000) for v in range(2, n + 1)])
+        parents[:, 1] = broom.parent
+        branches = []
+
+        def spy(tree):
+            branches.append(wide_levels(tree) is None)
+            return subtree_sizes(tree)
+
+        monkeypatch.setattr(engine, "subtree_sizes", spy)
+        trees = {0: grow_urrt(n, RngStream(seed, 0)), 1: broom,
+                 2: grow_urrt(n, RngStream(seed, 2))}
+        self._check(parents, n, trees)
+        assert branches and all(branches)
+
+
+@pytest.mark.parametrize("reduce", [rank_index_batch, max_root_fraction_batch],
+                         ids=lambda f: f.__name__)
+def test_chunk_memory_below_half_the_parents(reduce):
+    # Sizes live one block at a time, so a chunk needs no second matrix.
+    n, rows = 4000, 400
+    parents = generate_parent_matrix(37, n, 0, rows)
+    tracemalloc.start()
+    try:
+        reduce(parents, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * parents.nbytes, (peak, parents.nbytes)
