@@ -28,7 +28,10 @@ one addition of its parent's finished score and its own gain, so rumor's
 rounding, which ``rumor_band`` bounds, is the same in both.
 
 Ties are always broken pessimistically: among equally central vertices
-the one inserted later (larger label) ranks first.  ``rank_vertices``
+the one inserted later (larger label) ranks first.  ``_rank_exact`` gets
+that order from one sort of distinct int64 keys: each vertex's score (or
+the id of its run of equal scores) times n, plus n minus its label, so
+on equal scores the larger label has the smaller key.  ``rank_vertices``
 returns the full rank permutation plus a ``CenterReport`` naming the
 tie-broken center and the rank of vertex 1.
 """
@@ -46,7 +49,7 @@ from .tree import Levels, RecursiveTree, subtree_sizes, wide_levels
 
 
 class ScoreOverflowError(OverflowError):
-    """Scores would not fit 64-bit integers for the requested (n, q)."""
+    """Scores or rank keys would not fit 64-bit integers for the requested (n, q)."""
 
 
 def _check_closeness_int64(n: int) -> None:
@@ -66,6 +69,15 @@ def _check_betweenness_int64(n: int, q: int) -> None:
         )
     if q == 2 and n > 10**8:
         raise ScoreOverflowError(f"n={n} exceeds the enforced bound 1e8 for q=2")
+
+
+def _check_rank_int64(m: int) -> None:
+    """Raise unless ``_rank_exact``'s composite keys for m items fit int64.
+
+    A run id is below m, so the largest composite is m * m - 1.
+    """
+    if m * m > 2**63:
+        raise ScoreOverflowError(f"rank keys overflow 64-bit integers for n={m}")
 
 
 @dataclass(frozen=True)
@@ -336,9 +348,36 @@ def degree_scores(tree: RecursiveTree) -> np.ndarray:
 
 
 def _rank_exact(scores_view: np.ndarray, larger_is_central: bool) -> np.ndarray:
+    """Indices of ``scores_view`` by ascending key, the larger index first on ties.
+
+    Index i of m gets the composite ``key' * m + (m - 1 - i)``.  The
+    composites are distinct, so numpy's unstable (SIMD) sort gives the one
+    order that sorts by key and, within equal keys, by descending index,
+    which the remainder mod m reads back.  ``key'`` is the key less its
+    minimum when ``(range + 1) * m`` fits int64.  Otherwise, and for
+    floats, it is the id of the item's run of equal keys after an unstable
+    argsort; equal floats share a run id, so the exact equalities of the
+    float order are kept.  Run ids are below m, so ``_check_rank_int64``
+    bounds every composite.
+    """
+    m = scores_view.size
     key = -scores_view if larger_is_central else scores_view
-    # A stable sort of the reversed keys puts the larger label first on ties.
-    return (key.size - 1) - np.argsort(key[::-1], kind="stable")
+    lo = int(key.min()) if key.dtype.kind == "i" else None
+    if lo is not None and (int(key.max()) - lo + 1) * m < 2**63:
+        comp = np.subtract(key, lo, dtype=np.int64)
+        comp *= m
+        comp += np.arange(m - 1, -1, -1)
+    else:
+        order = np.argsort(key)
+        sorted_key = key[order]
+        comp = np.zeros(m, dtype=np.int64)
+        np.cumsum(sorted_key[1:] != sorted_key[:-1], out=comp[1:])
+        comp *= m
+        comp += m - 1
+        comp -= order
+    comp.sort()
+    np.remainder(comp, m, out=comp)
+    return np.subtract(m - 1, comp, out=comp)
 
 
 def rank_vertices(
@@ -359,10 +398,11 @@ def rank_vertices(
     comparator, except runs whose neighbours are exact ties by structure:
     equal floats and equal subtree sizes on both sides up to the vertex
     where their paths to the root meet, as for siblings of equal subtree
-    size.  Their path products are equal and the sort already put them
-    larger label first.
+    size.  Their path products are equal, and equal floats share a run
+    id in ``_rank_exact``, so the sort already put them larger label first.
     """
     n = scores.size - 1
+    _check_rank_int64(n)
     if measure.tag == "rumor":
         if comparator is None:
             raise ValueError("rumor ranking requires the exact comparator")

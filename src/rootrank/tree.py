@@ -92,7 +92,7 @@ def _build_levels(parent: np.ndarray) -> Levels:
 class RecursiveTree:
     """Rooted labeled recursive tree with 1-based vertex labels."""
 
-    __slots__ = ("n", "parent", "_children", "_levels")
+    __slots__ = ("n", "parent", "_levels")
 
     def __init__(self, parents: Sequence[int] | np.ndarray, *, validate: bool = True):
         """Build a tree from the compact parent list (parent of v for v = 2..n).
@@ -117,7 +117,6 @@ class RecursiveTree:
         parent.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_levels", None)
 
     def __setattr__(self, name, value):
@@ -133,21 +132,6 @@ class RecursiveTree:
 
     def __repr__(self) -> str:
         return f"RecursiveTree(n={self.n})"
-
-    @property
-    def children(self) -> list[np.ndarray]:
-        """Children lists indexed by vertex (built lazily, cached)."""
-        cached = self._children
-        if cached is None:
-            order = np.argsort(self.parent[2:], kind="stable") + 2
-            sorted_parents = self.parent[order]
-            counts = np.bincount(sorted_parents, minlength=self.n + 1)
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            cached = [
-                order[bounds[v] : bounds[v + 1]] for v in range(self.n + 1)
-            ]
-            object.__setattr__(self, "_children", cached)
-        return cached
 
     @property
     def levels(self) -> Levels:

@@ -29,6 +29,14 @@ def compact_strategy(max_n: int = 24):
     )
 
 
+def children_lists(tree: RecursiveTree) -> list[list[int]]:
+    """Children of every vertex in increasing label order, from ``tree.parent``."""
+    out: list[list[int]] = [[] for _ in range(tree.n + 1)]
+    for v, p in enumerate(tree.parent[2:].tolist(), start=2):
+        out[p].append(v)
+    return out
+
+
 def twin_compact(base: RecursiveTree) -> list[int]:
     """Two copies of ``base`` under a new root, labels interleaved.
 

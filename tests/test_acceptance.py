@@ -35,6 +35,8 @@ from rootrank.persistence import run_trajectory
 from rootrank.tree import RecursiveTree
 from rootrank.urns import sample_dickman_many
 
+from conftest import children_lists
+
 pytestmark = pytest.mark.acceptance
 
 SWEEP_SEED = 20260815
@@ -230,10 +232,11 @@ def test_11_centroid_structure_invariants():
         assert pr.report.tied_center_set == tied, f"tree {i}: rumor set"
         # scores must be non-decreasing along every path leaving the centroid
         c = pj.report.center_index
+        children = children_lists(tree)
         stack = [(c, 0)]
         while stack:
             u, parent_of_u = stack.pop()
-            nbrs = list(tree.children[u])
+            nbrs = list(children[u])
             if u != 1 and tree.parent[u] != parent_of_u:
                 nbrs.append(int(tree.parent[u]))
             for w in nbrs:

@@ -30,6 +30,9 @@ from rootrank.centrality import (
     RUMOR,
     ScoreOverflowError,
     _check_closeness_int64,
+    _check_rank_int64,
+    _rank_exact,
+    _resolve_rumor_ties,
     _root_down,
     betweenness_pairs_scores,
     betweenness_q,
@@ -51,7 +54,7 @@ from rootrank.oracles import (
 )
 from rootrank.tree import RecursiveTree, enumerate_recursive_trees, wide_levels
 
-from conftest import adversarial_compact, compact_strategy, twin_compact
+from conftest import adversarial_compact, children_lists, compact_strategy, twin_compact
 
 
 class TestFrozenScores:
@@ -107,6 +110,97 @@ class TestPessimisticRanking:
         assert lines[0] == "vertex,score,rank"
         assert lines[1] == "1,2,2"
         assert len(lines) == 5
+
+
+def _lexsort_order(scores, larger_is_central):
+    """Indices by ascending key, the larger index first on ties."""
+    key = -scores if larger_is_central else scores
+    return np.lexsort((-np.arange(scores.size), key))
+
+
+_ULP_ONE = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+
+
+class TestRankOrder:
+    """``_rank_exact`` against an independent lexsort, both directions."""
+
+    def _check(self, scores):
+        for larger in (False, True):
+            got = _rank_exact(scores, larger)
+            assert got.tolist() == _lexsort_order(scores, larger).tolist(), larger
+
+    def test_single_item(self):
+        self._check(np.array([7], dtype=np.int64))
+        self._check(np.array([0.5]))
+
+    def test_all_equal(self):
+        self._check(np.full(50, 3, dtype=np.int64))
+        self._check(np.full(50, -2.25))
+        assert _rank_exact(np.zeros(5, dtype=np.int64), False).tolist() == [4, 3, 2, 1, 0]
+
+    def test_integer_ties(self):
+        rng = np.random.default_rng(1)
+        self._check(rng.integers(-4, 5, size=2000))
+
+    def test_float_ties_and_ulp_neighbours(self):
+        rng = np.random.default_rng(2)
+        values = np.array(_ULP_ONE + [0.0, -0.0, -1.0, np.nextafter(-1.0, 0.0)])
+        self._check(values[rng.integers(0, values.size, size=500)])
+
+    def test_wide_integers_take_run_ids(self):
+        scores = np.array([2**62, -(2**62), 5, 2**62, -(2**62), 5, 0], dtype=np.int64)
+        span = int(scores.max()) - int(scores.min()) + 1
+        assert span * scores.size >= 2**63  # the key-less-minimum branch would overflow
+        self._check(scores)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=40).map(
+                lambda x: np.array(x, dtype=np.int64)
+            ),
+            st.lists(st.integers(-(2**63) + 1, 2**63 - 1), min_size=1, max_size=40).map(
+                lambda x: np.array(x, dtype=np.int64)
+            ),
+            st.lists(
+                st.one_of(st.sampled_from(_ULP_ONE + [0.0, -0.0]), st.floats(allow_nan=False)),
+                min_size=1,
+                max_size=40,
+            ).map(lambda x: np.array(x, dtype=np.float64)),
+        )
+    )
+    def test_property_small_arrays(self, scores):
+        self._check(scores)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_profiles_match_stable_argsort(self, seed):
+        tree = grow_urrt(10**5, RngStream(seed))
+        sizes = subtree_sizes(tree)
+        for tag, measure in MEASURES.items():
+            profile = compute_profile(tree, measure, sizes)
+            if tag == "rumor":
+                key = profile.comparator.rel[1:]
+            else:
+                key = -profile.scores[1:] if measure.larger_is_central else profile.scores[1:]
+            want = (key.size - 1) - np.argsort(key[::-1], kind="stable")
+            if tag == "rumor":
+                assert _rank_exact(key, False).tolist() == want.tolist()
+                _resolve_rumor_ties(want, profile.comparator)
+            rank = np.zeros(tree.n + 1, dtype=np.int64)
+            rank[want + 1] = np.arange(1, tree.n + 1)
+            assert profile.rank.tolist() == rank.tolist(), tag
+
+    def test_rank_int64_rule(self):
+        # run ids stay below m, so m * m - 1 is the largest composite key
+        m = math.isqrt(2**63)
+        assert m == 3_037_000_499
+        _check_rank_int64(m)
+        with pytest.raises(ScoreOverflowError):
+            _check_rank_int64(m + 1)
+        # rank_vertices checks before it reads a score: nothing is allocated
+        scores = np.broadcast_to(np.int64(0), (m + 2,))
+        with pytest.raises(ScoreOverflowError):
+            rank_vertices(scores, DEGREE)
 
 
 class TestOracleAgreement:
@@ -205,11 +299,12 @@ class TestStructuralInvariants:
         c = profile.report.center_index
         # walk outward from the center; scores must strictly increase
         # once both endpoints are outside the tied set
+        children = children_lists(t)
         seen = {c}
         frontier = [c]
         while frontier:
             v = frontier.pop()
-            neighbors = list(t.children[v].tolist())
+            neighbors = list(children[v])
             if v != 1:
                 neighbors.append(int(t.parent[v]))
             for w in neighbors:

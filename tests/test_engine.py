@@ -29,7 +29,7 @@ from rootrank.engine import (
 )
 from rootrank.tree import RecursiveTree, subtree_sizes, wide_levels
 
-from conftest import adversarial_compact, compact_strategy
+from conftest import adversarial_compact, children_lists, compact_strategy
 
 
 def _column_tree(parents, j):
@@ -216,7 +216,7 @@ class TestBlocks:
                 assert got[tag][0][j] == report.root_rank, (tag, j)
                 assert got[tag][1][j] == report.center_index, (tag, j)
             sizes = subtree_sizes(tree)
-            assert fractions[j] == sizes[tree.children[1]].max() / n, j
+            assert fractions[j] == sizes[children_lists(tree)[1]].max() / n, j
 
     def test_several_blocks_ragged_last(self):
         n, rows, seed, base = 100, 1300, 23, 500
