@@ -12,9 +12,11 @@ one merged tree, the block's columns hung from a common super-root, so
 the per-level numpy calls are shared by every tree of the block.  The
 centroid is one reduction over the block's sizes, and degree one
 ``bincount`` per column.  The other root ranks, and the betweenness index,
-come from the local walks of :mod:`rootrank.walks` that the growth
-trajectories use too: per column they visit only the few vertices around
-the centroid, so no score matrix is built.
+come from the two local walks of :mod:`rootrank.walks` that the growth
+trajectories use too, at most one call of each per column: the root cone
+for jordan and betweenness, the centroid ball for closeness and rumor.
+They visit only the few vertices around the centroid, so no score matrix
+is built.
 
 Replicate ``i`` of a sweep uses the Philox stream ``stream_base + i`` and
 draws exactly the same uniforms as ``grow_urrt`` would on that stream, so
@@ -30,7 +32,7 @@ import numpy as np
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
 from .tree import RecursiveTree, parents_from_draws, subtree_sizes
-from .walks import ball_ranks, betweenness_stats, jordan_rank
+from .walks import ball_ranks, cone_stats
 
 __all__ = [
     "chunk_rows",
@@ -78,8 +80,6 @@ def generate_parent_matrix(
     """
     rows = stop - start
     parents = np.zeros((n + 1, rows), dtype=np.int64, order="F")
-    if n == 1:
-        return parents
     for j in range(rows):
         gen = RngStream(master_seed, stream_base + start + j).generator()
         parents[2:, j] = parents_from_draws(gen.random(n - 1))
@@ -133,45 +133,35 @@ def rank_index_batch(
     if unknown:
         raise ValueError(f"unknown engine measures: {sorted(unknown)}")
     rows = parents.shape[1]
-    if n == 1:
-        ones = np.ones(rows, dtype=np.int64)
-        return {tag: (ones.copy(), ones.copy()) for tag in measures}
-
-    out = {tag: (np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64))
-           for tag in measures}
-    if "degree" in out:
-        rank, index = out["degree"]
+    rank = {tag: np.empty(rows, dtype=np.int64) for tag in SWEEP_MEASURES}
+    index = {tag: np.empty(rows, dtype=np.int64) for tag in SWEEP_MEASURES}
+    if "degree" in measures:
         for j in range(rows):
             degree = np.bincount(parents[2:, j], minlength=n + 1)
             degree[2:] += 1
-            rank[j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
-            index[j] = n - np.argmax(degree[:0:-1])  # largest label on ties
-    walked = set(measures) - {"degree"}
-    if not walked:
-        return out
-    ball = walked & {"closeness", "rumor"}
-    for lo, columns, block_sizes in _blocks(parents, n):
-        # Vertices with 2 s(v) >= n form a path from the root, and labels
-        # grow along it, so its largest label is its last vertex: the
-        # centroid, or the child of a tied centroid pair.  That is the
-        # center index of the centroid group, and the ball walks start there.
-        center = n - np.argmax(block_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
-        for tag in walked.intersection(CENTROID_GROUP):
-            out[tag][1][lo : lo + center.size] = center
-        for j, column, sizes, c in zip(range(lo, rows), columns, block_sizes, center.tolist()):
-            children = _Children(column)
-            size = memoryview(sizes)  # items are Python ints, as the walks need
-            if "jordan" in out:
-                out["jordan"][0][j] = jordan_rank(children, size, n)
-            if ball:
-                ranks = ball_ranks(memoryview(column), size, children, n, c)
-                for tag, rank in zip(("closeness", "rumor"), ranks):
-                    if tag in out:
-                        out[tag][0][j] = rank
-            if "betweenness" in out:
-                rank, index = out["betweenness"]
-                rank[j], index[j] = betweenness_stats(children, size, n)
-    return out
+            rank["degree"][j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
+            index["degree"][j] = n - np.argmax(degree[:0:-1])  # largest label on ties
+    cone = "jordan" in measures or "betweenness" in measures
+    ball = "closeness" in measures or "rumor" in measures
+    if cone or ball:
+        for lo, columns, block_sizes in _blocks(parents, n):
+            # Vertices with 2 s(v) >= n form a path from the root, and labels
+            # grow along it, so its largest label is its last vertex: the
+            # centroid, or the child of a tied centroid pair.  That is the
+            # center index of the centroid group, and the ball walks start there.
+            center = n - np.argmax(block_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
+            for tag in CENTROID_GROUP:
+                index[tag][lo : lo + center.size] = center
+            for j, column, sizes, c in zip(range(lo, rows), columns, block_sizes, center.tolist()):
+                children = _Children(column)
+                size = memoryview(sizes)  # items are Python ints, as the walks need
+                if cone:
+                    rank["jordan"][j], rank["betweenness"][j], index["betweenness"][j] = (
+                        cone_stats(children, size, n))
+                if ball:
+                    rank["closeness"][j], rank["rumor"][j] = ball_ranks(
+                        memoryview(column), size, children, n, c)
+    return {tag: (rank[tag], index[tag]) for tag in measures}
 
 
 def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:

@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown measures: {sorted(unknown)}")
         if not self.measures:
             raise ConfigError("measures must be non-empty")
+        repeated = {t for t in self.measures if self.measures.count(t) > 1}
+        if repeated:
+            raise ConfigError(f"repeated measures: {sorted(repeated)}")
         for name in ("reps", "workers", "horizon", "trajectories", "runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -425,7 +428,7 @@ def _persistence_records(
     results = _map_jobs(_trajectory_job, jobs, config.workers)
     records = []
     reps = config.trajectories
-    for tag in SWEEP_MEASURES:
+    for tag in config.measures:
         idx_hits = sum(r.changed_index[tag] for r in results)
         rank_hits = sum(r.changed_rank[tag] for r in results)
         records.append(

@@ -14,11 +14,13 @@ is split by what each statistic needs:
   per insertion.  It and the degree leader are maintained in O(depth)
   per step, giving exact per-step change times for I_m.
 * Root ranks (and the betweenness index) are evaluated at checkpoints,
-  every ``stride`` steps, by the local walks of :mod:`rootrank.walks`,
-  which the batch engine shares: vertices at least as central as the
-  root form a small connected region around the centroid, so each
-  evaluation touches O(R_m) vertices, not O(m).  Their change times are
-  read off the checkpoint series.
+  every ``stride`` steps, by the two local walks of
+  :mod:`rootrank.walks`, which the batch engine shares: one root cone
+  for jordan and betweenness, one centroid ball for closeness and rumor.
+  Vertices at least as central as the root form a small connected
+  region around the centroid, so each evaluation touches O(R_m)
+  vertices, not O(m).  Their change times are read off the checkpoint
+  series.
 
 No checkpoint recomputes a full profile.  Agreement with
 :mod:`rootrank.centrality` at every step is enforced by tests on small
@@ -34,7 +36,7 @@ import numpy as np
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
 from .tree import parents_from_draws
-from .walks import ball_ranks, betweenness_stats, jordan_rank
+from .walks import ball_ranks, cone_stats
 
 __all__ = [
     "TrajectoryResult",
@@ -192,20 +194,13 @@ def run_trajectory(
     def observe_checkpoint(m: int) -> None:
         pos = m // stride - 1
         size, children = traj.size, traj.children
-        rank_c, rank_r = ball_ranks(traj.parent, size, children, m, traj.centroid)
-        rank_b, index_b = betweenness_stats(children, size, m)
-        ranks = {
-            "jordan": jordan_rank(children, size, m),
-            "closeness": rank_c,
-            "rumor": rank_r,
-            "betweenness": rank_b,
-            "degree": traj.degree_rank(),
-        }
-        for t in SWEEP_MEASURES:
-            series_rank[t][pos] = ranks[t]
+        (series_rank["jordan"][pos], series_rank["betweenness"][pos],
+         series_index["betweenness"][pos]) = cone_stats(children, size, m)
+        series_rank["closeness"][pos], series_rank["rumor"][pos] = ball_ranks(
+            traj.parent, size, children, m, traj.centroid)
+        series_rank["degree"][pos] = traj.degree_rank()
         for t in CENTROID_GROUP:
             series_index[t][pos] = traj.centroid
-        series_index["betweenness"][pos] = index_b
         series_index["degree"][pos] = traj.best_deg_label
 
     # Centroid and degree leader change times are exact per step; ranks and

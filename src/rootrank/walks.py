@@ -1,13 +1,16 @@
-"""Root ranks by local walks around the centroid.
+"""Root ranks by two local walks: the root cone and the centroid ball.
 
 A root rank counts the vertices at least as central as the root.  For
 jordan, closeness, rumor and betweenness those vertices form a small
 connected region at the centroid, the root-finding sets of Bubeck,
 Devroye and Lugosi ("Finding Adam in random growing trees", 2017), so
 each rank is found by walking that region instead of scoring all m
-vertices.  The growth trajectories call these walks on the children
-lists they keep step by step, and the batch engine calls them on
-children found from one parent column on demand.
+vertices.  Jordan and betweenness share one up-closed cone below the
+root (``cone_stats``, which also finds the betweenness index); closeness
+and rumor share one ball around the centroid (``ball_ranks``).  The
+growth trajectories call both walks on the children lists they keep
+step by step, and the batch engine calls them on children found from
+one parent column on demand.
 
 Every walk reads ``children[v]``, the children of v, and ``size[v]``,
 the subtree sizes; the ball walk also reads ``parent[v]``.  ``size`` and
@@ -22,32 +25,51 @@ from math import isqrt, log
 
 from .centrality import phi_sign, rumor_band
 
-__all__ = ["jordan_rank", "ball_ranks", "betweenness_stats"]
+__all__ = ["cone_stats", "ball_ranks"]
 
 
-def jordan_rank(children, size, m: int) -> int:
-    """Count v with max(m - size(v), max child size) <= psi(root).
+def cone_stats(children, size, m: int) -> tuple[int, int, int]:
+    """(jordan rank, betweenness rank, betweenness index) by one cone walk.
 
-    Vertices with size(v) >= m - psi(root) form an up-closed cone
-    around the root; only inside it can the complement component stay
-    small enough, so the walk prunes everything else.
+    The betweenness score of v is the sum of squared component sizes left
+    by removing it.  Any v with score <= score(root) satisfies
+    (m - size(v))^2 <= score(root), so candidates form an up-closed cone
+    reachable from the root by descending while sizes stay large enough.
+    The best score, largest label on ties, is always among them.
+
+    The jordan score of v is max(m - size(v), max child size).  A child of
+    v != 1 lies inside a root subtree, so its size is below psi(root),
+    the root's score; v thus counts for jordan exactly when
+    size(v) >= m - psi(root).  As score(root) >= psi(root)^2, every such v
+    lies in the cone.
     """
-    psi_root = max((size[ch] for ch in children[1]), default=0)
-    s_min = m - psi_root
-    count = 0
+    root_sizes = [size[ch] for ch in children[1]]
+    psi_root = max(root_sizes, default=0)
+    root_score = sum(s * s for s in root_sizes)
+    s_min = m - isqrt(root_score)
+    jordan_min = m - psi_root
+    rank_j = 0
+    rank_b = 0
+    best_score = root_score
+    best_label = 1
     stack = [1]
     while stack:
         v = stack.pop()
-        ok = True
+        s = size[v]
+        if s >= jordan_min:
+            rank_j += 1
+        score = (m - s) ** 2
         for ch in children[v]:
             s = size[ch]
+            score += s * s
             if s >= s_min:
                 stack.append(ch)
-            if s > psi_root:
-                ok = False
-        if ok:
-            count += 1
-    return count
+        if score <= root_score:
+            rank_b += 1
+        if score < best_score or (score == best_score and v > best_label):
+            best_score = score
+            best_label = v
+    return rank_j, rank_b, best_label
 
 
 def ball_ranks(parent, size, children, m: int, c: int) -> tuple[int, int]:
@@ -112,34 +134,3 @@ def ball_ranks(parent, size, children, m: int, c: int) -> tuple[int, int]:
         if phi_sign(parent, size, m, v, 1) <= 0:
             count_r += 1
     return count_c, count_r
-
-
-def betweenness_stats(children, size, m: int) -> tuple[int, int]:
-    """(rank, index): exhaustive over the small candidate cone.
-
-    The score of v is the sum of squared component sizes left by
-    removing it.  Any v with score <= score(root) satisfies
-    (m - size(v))^2 <= score(root), so candidates form an up-closed set
-    reachable from the root by descending while sizes stay large enough.
-    The best score, largest label on ties, is always among them.
-    """
-    root_score = sum(size[ch] ** 2 for ch in children[1])
-    s_min = m - isqrt(root_score)
-    rank = 0
-    best_score = root_score
-    best_label = 1
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        score = 0 if v == 1 else (m - size[v]) ** 2
-        for ch in children[v]:
-            s = size[ch]
-            score += s * s
-            if s >= s_min:
-                stack.append(ch)
-        if score <= root_score:
-            rank += 1
-        if score < best_score or (score == best_score and v > best_label):
-            best_score = score
-            best_label = v
-    return rank, best_label

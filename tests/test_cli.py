@@ -233,6 +233,12 @@ class TestExperiment:
         code, _, err = _run(capsys, "experiment", "--config", str(cfg))
         assert code == 2 and "repz" in err
 
+    def test_repeated_measure_named(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("experiment = rank-tail\nseed = 1\nmeasures = jordan, jordan, degree\n")
+        code, _, err = _run(capsys, "experiment", "--config", str(cfg))
+        assert code == 2 and "repeated measures: ['jordan']" in err
+
     def test_syntax_error_names_location(self, capsys, tmp_path):
         cfg = tmp_path / "syntax.cfg"
         cfg.write_text("experiment = rank-tail\nseed 1\n")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rootrank import (
     RngStream,
     compute_profile,
+    enumerate_recursive_trees,
     generate_parent_matrix,
     grow_urrt,
     rank_index_batch,
@@ -111,6 +112,18 @@ class TestAgreementWithPerTree:
             report = compute_profile(tree, measure).report
             assert got[tag][0][0] == report.root_rank, tag
             assert got[tag][1][0] == report.center_index, tag
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_recursive_tree(self, n):
+        # all (n - 1)! trees up to n = 8 hold every tie shape the cone and
+        # ball walks can meet at these sizes
+        trees = list(enumerate_recursive_trees(n))
+        parents = np.stack([tree.parent for tree in trees], axis=1)
+        got = rank_index_batch(parents, n)
+        for tag, measure in SWEEP_MEASURES.items():
+            reports = [compute_profile(tree, measure).report for tree in trees]
+            assert got[tag][0].tolist() == [r.root_rank for r in reports], tag
+            assert got[tag][1].tolist() == [r.center_index for r in reports], tag
 
     def test_n_one_all_ones(self):
         parents = generate_parent_matrix(5, 1, 0, 6)

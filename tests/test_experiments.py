@@ -54,6 +54,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown measures"):
             _cfg(measures=("jordan", "pagerank"))
 
+    def test_repeated_measure_named(self):
+        with pytest.raises(ConfigError, match=r"repeated measures: \['jordan'\]"):
+            _cfg(measures=("jordan", "jordan", "degree"))
+
     def test_count_floors(self):
         for key in ("reps", "workers", "horizon", "trajectories", "runs"):
             with pytest.raises(ConfigError, match=key):
@@ -294,6 +298,19 @@ class TestPersistenceExperiment:
             rec = by[(tag, "index_changed_fraction")]
             assert rec.estimate == hits / 12
             assert rec.n == 200 and rec.reps == 12
+
+    def test_summary_follows_measures(self):
+        cfg = ExperimentConfig(experiment="persistence", seed=8, horizon=200,
+                               stride=5, trajectories=4, measures=("rumor", "jordan"))
+        result, _ = run_experiment(cfg)
+        assert [(r.measure, r.statistic) for r in result.records] == [
+            ("rumor", "index_changed_fraction"), ("rumor", "rank_changed_fraction"),
+            ("jordan", "index_changed_fraction"), ("jordan", "rank_changed_fraction"),
+        ]
+        full, _ = run_experiment(ExperimentConfig(experiment="persistence", seed=8,
+                                                  horizon=200, stride=5, trajectories=4))
+        by = {(r.measure, r.statistic): r for r in full.records}
+        assert result.records == [by[(r.measure, r.statistic)] for r in result.records]
 
     def test_dump_requires_series(self):
         cfg = ExperimentConfig(experiment="persistence", seed=8,

@@ -19,7 +19,7 @@ from rootrank.persistence import (
     run_trajectory,
 )
 from rootrank.tree import RecursiveTree
-from rootrank.walks import ball_ranks, betweenness_stats, jordan_rank
+from rootrank.walks import ball_ranks, cone_stats
 
 from conftest import adversarial_compact, compact_strategy
 
@@ -140,11 +140,11 @@ class TestAdversarialShapes:
         for tag in CENTROID_GROUP:
             assert traj.centroid == report[tag].center_index, (tag, m)
         children, size = traj.children, traj.size
-        assert jordan_rank(children, size, m) == report["jordan"].root_rank, m
+        assert cone_stats(children, size, m) == (
+            report["jordan"].root_rank, report["betweenness"].root_rank,
+            report["betweenness"].center_index), m
         assert ball_ranks(traj.parent, size, children, m, traj.centroid) == (
             report["closeness"].root_rank, report["rumor"].root_rank), m
-        assert betweenness_stats(children, size, m) == (
-            report["betweenness"].root_rank, report["betweenness"].center_index), m
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.one_of(adversarial_compact(), compact_strategy()))
