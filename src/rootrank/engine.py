@@ -18,6 +18,11 @@ for jordan and betweenness, the centroid ball for closeness and rumor.
 They visit only the few vertices around the centroid, so no score matrix
 is built.
 
+A sweep is split into chunks of replicates.  A chunk is the unit of
+parallel dispatch and of output grouping, not of memory: a chunk job
+grows and reduces its replicates one block at a time, so it never holds
+more than one block's parent matrix, whatever the chunk's length.
+
 Replicate ``i`` of a sweep uses the Philox stream ``stream_base + i`` and
 draws exactly the same uniforms as ``grow_urrt`` would on that stream, so
 batched results are reproducible tree-by-tree against the scalar path.
@@ -43,8 +48,10 @@ __all__ = [
     "rank_index_sweep_chunk",
 ]
 
-# Elements of the (n + 1) x rows int64 parent matrix of a chunk, the one
-# chunk-wide matrix; everything else lives one block of columns at a time.
+# Replicates per chunk, the Pool job and output unit: at most this many
+# parent elements, n + 1 per replicate, and at most _MAX_CHUNK_ROWS
+# replicates.  A chunk job grows and reduces one block at a time, so these
+# bound the job's length, not its memory.
 _CHUNK_ELEMENT_BUDGET = 16_000_000
 _MAX_CHUNK_ROWS = 4096
 # Vertices per merged tree of a block: enough trees to share each level's
@@ -86,6 +93,22 @@ def generate_parent_matrix(
     return parents
 
 
+def _block_width(n: int) -> int:
+    """Columns per block: one merged tree of about ``_BLOCK_VERTICES``."""
+    return max(1, _BLOCK_VERTICES // (n + 1))
+
+
+def _parent_blocks(master_seed: int, n: int, start: int, stop: int, stream_base: int):
+    """Yield the parent matrix of replicates ``[start, stop)`` block by block.
+
+    Each block has ``_block_width(n)`` columns, the last one fewer, so
+    :func:`_blocks` reduces it as one merged tree.
+    """
+    width = _block_width(n)
+    for lo in range(start, stop, width):
+        yield generate_parent_matrix(master_seed, n, lo, min(lo + width, stop), stream_base)
+
+
 def _blocks(parents: np.ndarray, n: int):
     """Yield ``(lo, columns, sizes)`` per block of parent columns.
 
@@ -96,7 +119,7 @@ def _blocks(parents: np.ndarray, n: int):
     slots 0 and 1 hang from label 1 and every other slot from its parent's
     label, which stays the smaller one.
     """
-    width = max(1, _BLOCK_VERTICES // (n + 1))
+    width = _block_width(n)
     for lo in range(0, parents.shape[1], width):
         # a view for column-major chunks; one block copy for other layouts
         columns = np.asfortranarray(parents[:, lo : lo + width]).T
@@ -181,6 +204,18 @@ def rank_index_sweep_chunk(
     measures: tuple[str, ...] = tuple(SWEEP_MEASURES),
     stream_base: int = 0,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Generate one chunk of replicates and reduce it to rank/index stats."""
-    parents = generate_parent_matrix(master_seed, n, start, stop, stream_base)
-    return rank_index_batch(parents, n, measures)
+    """Generate one chunk of replicates and reduce it to rank/index stats.
+
+    Replicates are grown and reduced one block at a time, so the chunk's
+    whole parent matrix is never built; the result equals
+    ``rank_index_batch`` on that matrix.
+    """
+    parts = [rank_index_batch(parents, n, measures)
+             for parents in _parent_blocks(master_seed, n, start, stop, stream_base)]
+    return {
+        tag: (
+            np.concatenate([part[tag][0] for part in parts]),
+            np.concatenate([part[tag][1] for part in parts]),
+        )
+        for tag in measures
+    }

@@ -26,8 +26,8 @@ from . import persistence as _persistence
 from . import urns as _urns
 from .centrality import SWEEP_MEASURES
 from .engine import (
+    _parent_blocks,
     chunk_rows,
-    generate_parent_matrix,
     max_root_fraction_batch,
     rank_index_sweep_chunk,
     replicate_chunks,
@@ -320,8 +320,8 @@ def run_rank_index_sweep(
 
 
 def _fraction_chunk_job(seed, n, start, stop, stream_base) -> np.ndarray:
-    parents = generate_parent_matrix(seed, n, start, stop, stream_base)
-    return max_root_fraction_batch(parents, n)
+    return np.concatenate([max_root_fraction_batch(parents, n)
+                           for parents in _parent_blocks(seed, n, start, stop, stream_base)])
 
 
 def run_max_fraction_sweep(

@@ -28,6 +28,7 @@ from rootrank.engine import (
     rank_index_sweep_chunk,
     replicate_chunks,
 )
+from rootrank.experiments import _fraction_chunk_job
 from rootrank.tree import RecursiveTree, subtree_sizes, wide_levels
 
 from conftest import adversarial_compact, children_lists, compact_strategy
@@ -278,3 +279,75 @@ def test_chunk_memory_below_half_the_parents(reduce):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * parents.nbytes, (peak, parents.nbytes)
+
+
+class TestStreamedChunks:
+    """Chunk jobs grow and reduce their replicates one block at a time.
+
+    The streamed result must equal the reduction of the chunk's whole parent
+    matrix, the work must stay visible to wrappers on the module-level
+    ``generate_parent_matrix`` and ``rank_index_batch``, and memory must
+    not grow with the chunk.
+    """
+
+    # (n, width, start, stop, stream_base): three columns per block with a
+    # ragged last block, then one column per block.
+    CASES = [(20_000, 3, 5, 12, 300), (70_000, 1, 4, 7, 11)]
+
+    @pytest.mark.parametrize("n, width, start, stop, base", CASES)
+    def test_rank_chunk_equals_whole_matrix(self, n, width, start, stop, base):
+        assert engine._block_width(n) == width < stop - start
+        streamed = rank_index_sweep_chunk(41, n, start, stop, stream_base=base)
+        whole = rank_index_batch(generate_parent_matrix(41, n, start, stop, base), n)
+        for tag in SWEEP_MEASURES:
+            assert streamed[tag][0].tolist() == whole[tag][0].tolist(), tag
+            assert streamed[tag][1].tolist() == whole[tag][1].tolist(), tag
+
+    @pytest.mark.parametrize("n, width, start, stop, base", CASES)
+    def test_fraction_chunk_equals_whole_matrix(self, n, width, start, stop, base):
+        assert engine._block_width(n) == width < stop - start
+        streamed = _fraction_chunk_job(43, n, start, stop, stream_base=base)
+        whole = max_root_fraction_batch(generate_parent_matrix(43, n, start, stop, base), n)
+        assert streamed.tolist() == whole.tolist()
+
+    def test_fraction_chunk_n_one_rejected(self):
+        with pytest.raises(ValueError):
+            _fraction_chunk_job(1, 1, 0, 3, 0)
+
+    def test_layer_wrappers_see_every_block(self, monkeypatch):
+        # Wrap the module attributes, as the benchmark's tracer does.
+        n, start, stop, base = 3000, 10, 60, 90
+        width = engine._block_width(n)
+        generated, ranked = [], []
+        generate, rank = engine.generate_parent_matrix, engine.rank_index_batch
+
+        def counting_generate(*args):
+            generated.append(args)
+            return generate(*args)
+
+        def counting_rank(parents, *args):
+            ranked.append(parents)
+            return rank(parents, *args)
+
+        monkeypatch.setattr(engine, "generate_parent_matrix", counting_generate)
+        monkeypatch.setattr(engine, "rank_index_batch", counting_rank)
+        rank_index_sweep_chunk(47, n, start, stop, stream_base=base)
+        blocks = -(-(stop - start) // width)
+        assert blocks >= 3 and len(generated) == len(ranked) == blocks
+        assert np.hstack(ranked).tolist() == generate(47, n, start, stop, base).tolist()
+
+    @pytest.mark.parametrize("job", [rank_index_sweep_chunk, _fraction_chunk_job],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("rows", [400, 1600])
+    def test_memory_independent_of_chunk_length(self, job, rows):
+        # Peak stays below half of one 400-column parent matrix for either
+        # chunk length: no chunk-wide matrix is built.
+        n = 4000
+        limit = 0.5 * (n + 1) * 400 * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            job(53, n, 0, rows, stream_base=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (peak, limit)
