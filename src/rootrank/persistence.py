@@ -1,42 +1,50 @@
-"""Growth trajectories with online center and root-rank tracking.
+"""Growth trajectories: the center index I_m and the root rank R_m along one tree.
 
 A fixed-size sweep answers "what does the profile look like at size n";
 this module answers "how does it evolve along one growth history".  A
-trajectory grows a tree one attachment at a time up to a horizon N and
-watches two statistics per centrality measure: the center index I_m and
-the root rank R_m.
+trajectory grows a tree to a horizon N and watches two statistics per
+centrality measure: the center index I_m and the root rank R_m.
 
-Tracking everything per step would cost O(n) per insertion, so the work
-is split by what each statistic needs:
+All N - 1 attachments are drawn before any statistic is read, so the
+horizon tree is known in full, and every prefix tree is its restriction
+to the labels 1..m: a descendant of v born by m has its whole path to v
+born by m.  So the subtree size s_m(v) is the number of labels <= m in
+v's slice of the horizon tree's preorder, and nothing is stepped:
 
-* Jordan, closeness and rumor share one center index, the last vertex
-  of the root path {v : 2 size(v) >= m}, which moves by at most one edge
-  per insertion.  It and the degree leader are maintained in O(depth)
-  per step, giving exact per-step change times for I_m.
-* Root ranks (and the betweenness index) are evaluated at checkpoints,
-  every ``stride`` steps, by the two local walks of
-  :mod:`rootrank.walks`, which the batch engine shares: one root cone
-  for jordan and betweenness, one centroid ball for closeness and rumor.
-  Vertices at least as central as the root form a small connected
-  region around the centroid, so each evaluation touches O(R_m)
-  vertices, not O(m).  Their change times are read off the checkpoint
-  series.
+* The centroid index, which jordan, closeness and rumor share, is the
+  last vertex of the root path {v : 2 s_m(v) >= m}.  A vertex c >= 2 can
+  be on that path only if its horizon subtree size S(c) >= c - 1, since
+  s_m(c) <= min(S(c), m - c + 1).  It is read at every step from the
+  size series of those few vertices.
+* The degree leader at m is the running maximum of (degree, label) over
+  the attachments so far, so its change times are exact per step.  The
+  degree rank at m counts the vertices that have reached the root's
+  degree by m.
+* The other ranks and the betweenness index are read at the checkpoints,
+  every ``stride`` steps.  A vertex at least as central as the root
+  lies, at that checkpoint, in the root cone of jordan and betweenness,
+  the closeness ball or the rumor band, regions that are closed upwards
+  and small (Bubeck, Devroye and Lugosi, "Finding Adam in random growing
+  trees", 2017).  One depth-first pass from the root descends only into
+  children that lie in one of them at some checkpoint, and adds each
+  rank as a vector over the checkpoints.  The batch engine finds the
+  same ranks by the walks of :mod:`rootrank.walks`, one tree at a time.
 
-No checkpoint recomputes a full profile.  Agreement with
-:mod:`rootrank.centrality` at every step is enforced by tests on small
-horizons.
+Every count is exact: rumor near ties are settled by ``phi_sign`` on
+the path's sizes.  Tests hold the series to ``compute_profile`` on the
+prefix trees at every step of small horizons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .centrality import CENTROID_GROUP, SWEEP_MEASURES
+from .centrality import CENTROID_GROUP, SWEEP_MEASURES, _root_down, phi_sign, rumor_band
 from .rng import RngStream
-from .tree import parents_from_draws
-from .walks import ball_ranks, cone_stats
+from .tree import RecursiveTree, depth_dtype, parents_from_draws, subtree_sizes, wide_levels
 
 __all__ = [
     "TrajectoryResult",
@@ -76,94 +84,232 @@ class TrajectoryResult:
     replicate: int
     horizon: int
     stride: int
-    checkpoints: np.ndarray
     last_change_index: dict[str, int]
     last_change_rank: dict[str, int]
     changed_index: dict[str, bool]
     changed_rank: dict[str, bool]
     series: dict[str, dict[str, np.ndarray]] | None = None
 
-
-class _Trajectory:
-    """Mutable growth state; one instance per trajectory.
-
-    ``centroid`` is the center index of the centroid group: the last
-    vertex of the root path {v : 2 size(v) >= m}, the larger label of a
-    tied pair.  A vertex's degree is ``len(children[v]) + (v > 1)``.
-    """
-
-    __slots__ = ("m", "parent", "size", "children", "hist", "centroid", "best_deg_label")
-
-    def __init__(self, horizon: int):
-        cap = horizon + 1
-        self.m = 1
-        self.parent = [0] * cap
-        self.size = [0] * cap
-        self.size[1] = 1
-        self.children: list[list[int]] = [[] for _ in range(cap)]
-        self.hist = [1]  # degree histogram over live vertices
-        self.centroid = 1
-        self.best_deg_label = 1
-
-    def step(self, target: int) -> None:
-        """Attach a new vertex to ``target`` and update all tracked state."""
-        size = self.size
-        parent = self.parent
-        hist = self.hist
-        new = self.m + 1
-
-        parent[new] = target
-        size[new] = 1
-        kids = self.children[target]
-        kids.append(new)
-
-        if len(hist) < 2:
-            hist.append(0)
-        hist[1] += 1
-        d = len(kids) + (target > 1)
-        hist[d - 1] -= 1
-        if d == len(hist):
-            hist.append(0)
-        hist[d] += 1
-
-        # Degrees only ever grow, so the top histogram bucket never empties
-        # and the (degree, label) leader can only be displaced by a vertex
-        # that just incremented: alone at a new top, or tied with a larger label.
-        top = len(hist) - 1
-        if d == top and (hist[d] == 1 or target > self.best_deg_label):
-            self.best_deg_label = target
-        if top == 1:  # m = 2: both vertices have degree 1, the larger label leads
-            self.best_deg_label = new
-
-        c = self.centroid
-        path_child = 0
-        prev = new
-        w = target
-        while w:
-            if w == c:
-                path_child = prev
-            size[w] += 1
-            prev = w
-            w = parent[w]
-        m = new
-        self.m = m
-
-        # The threshold m / 2 rose by one half and only sizes on the new
-        # vertex's path grew, so the last vertex of the path moves one edge
-        # at most: down to c's child on that path, or up when c fell short.
-        if path_child and 2 * size[path_child] >= m:
-            self.centroid = path_child
-        elif 2 * size[c] < m:
-            self.centroid = parent[c]
-
-    def degree_rank(self) -> int:
-        return sum(self.hist[len(self.children[1]) :])
+    @property
+    def checkpoints(self) -> np.ndarray:
+        """The checkpoint sizes, derived so that a pooled result stays small."""
+        return checkpoint_grid(self.horizon, self.stride)
 
 
 def _last_change(series: np.ndarray, grid: np.ndarray) -> int:
-    """Largest checkpoint whose entry differs from the one before, else 0."""
+    """Largest grid entry whose value differs from the one before, else 0."""
     moved = np.flatnonzero(series[1:] != series[:-1])
     return int(grid[moved[-1] + 1]) if moved.size else 0
+
+
+class _Horizon:
+    """The horizon tree in preorder, with the size series it implies.
+
+    Children are grouped by parent in ascending labels (v's are
+    ``kids[first[v] : first[v + 1]]``) and visited in that order, so v's
+    subtree is the preorder slice ``pre[v] : pre[v] + size[v]`` and its
+    children's slices follow one another inside it.  ``label`` and
+    ``check`` hold, per preorder position, the vertex and the index of the
+    first checkpoint at which it is present.  ``parent_degree[v]`` is the
+    degree ``parent[v]`` reaches when v attaches.
+    """
+
+    __slots__ = ("n", "stride", "parent", "size", "height", "kids", "first", "pre",
+                 "label", "check", "parent_degree")
+
+    def __init__(self, tree: RecursiveTree, stride: int):
+        n, parent = tree.n, tree.parent
+        size = subtree_sizes(tree)
+        # Distinct keys, so the unstable sort orders siblings by label.
+        kids = np.sort(parent[2:] * (n + 1) + np.arange(2, n + 1)) % (n + 1)
+        first = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(parent[2:], minlength=n + 1), out=first[1:])
+        start = first[parent[kids]]
+        before = np.zeros(n, dtype=np.int64)
+        np.cumsum(size[kids], out=before[1:])
+        # A child starts one past its parent, after its earlier siblings.
+        gain = np.zeros(n + 1, dtype=np.int64)
+        gain[kids] = 1 + before[:-1] - before[start]
+        pre = _root_down(parent, 0, gain, wide_levels(tree))
+        idx = depth_dtype(n)
+        label = np.empty(n, dtype=idx)
+        label[pre[1:]] = np.arange(1, n + 1, dtype=idx)
+        # kids[i] is child number i - start[i] + 1 of its parent.
+        parent_degree = np.zeros(n + 1, dtype=np.int64)
+        parent_degree[kids] = np.arange(1, n) - start + (parent[kids] > 1)
+        self.n = n
+        self.stride = stride
+        self.parent = parent
+        self.size = size
+        self.height = tree.levels.height
+        self.kids = kids
+        self.first = first
+        self.pre = pre
+        self.label = label
+        self.check = (label - 1) // stride
+        self.parent_degree = parent_degree
+
+    def children(self, v: int) -> np.ndarray:
+        return self.kids[self.first[v] : self.first[v + 1]]
+
+    def centroids(self) -> np.ndarray:
+        """Centroid index at every step m = 1..N (slot 0 unused).
+
+        The vertices with 2 s_m(v) >= m form a root path, and labels grow
+        down it, so the index is the largest of them: painting each
+        vertex's qualifying steps in ascending label order leaves it.  A
+        vertex qualifies only at steps where its parent does, and c >= 2
+        only at m <= 2 S(c).
+        """
+        n, size = self.n, self.size
+        center = np.ones(n + 1, dtype=depth_dtype(n))
+        candidates = np.flatnonzero(size[2:] >= np.arange(1, n)) + 2
+        on_path = {1}
+        for c, p in zip(candidates.tolist(), self.parent[candidates].tolist()):
+            if p not in on_path:
+                continue
+            top = min(n, 2 * int(size[c]))
+            lo = int(self.pre[c])
+            sub = self.label[lo : lo + int(size[c])]
+            s = np.cumsum(np.bincount(sub[sub <= top] - c, minlength=top - c + 1))
+            steps = np.flatnonzero(2 * s >= np.arange(c, top + 1))
+            if steps.size:
+                on_path.add(c)
+                center[c + steps] = c
+        return center
+
+    def degree_leaders(self) -> np.ndarray:
+        """Degree index at every step m = 1..N: the largest (degree, label).
+
+        Degrees only grow, so the leader is the running maximum over the
+        events "v reaches degree d": the parent of each new vertex, and
+        the new vertex itself at degree 1.
+        """
+        n = self.n
+        born = np.arange(2, n + 1)
+        events = np.maximum(self.parent_degree[2:] * (n + 1) + self.parent[2:], (n + 1) + born)
+        leader = np.ones(n + 1, dtype=np.int64)
+        leader[2:] = np.maximum.accumulate(events) % (n + 1)
+        return leader
+
+    def degree_ranks(self, grid: np.ndarray) -> np.ndarray:
+        """Degree root rank at each checkpoint.
+
+        With the root at degree r, the vertices at least as central are
+        those that have reached degree r: all m of them for r = 1, else as
+        many as the attachments by m that brought a parent to degree r,
+        the root's own included.
+        """
+        degree = np.searchsorted(self.children(1), grid, side="right")
+        rank = np.where(degree == 0, 1, grid)
+        for r in set(degree[degree >= 2].tolist()):
+            at = degree == r
+            born = np.flatnonzero(self.parent_degree == r)
+            rank[at] = np.searchsorted(born, grid[at], side="right")
+        return rank
+
+    def child_series(self, v: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """v's children and their sizes at checkpoints a..b-1, one row per child.
+
+        A child's size at checkpoint k counts the labels of its slice
+        present by k: a bincount by (child, first checkpoint), summed
+        along each row.  Labels present before a count in the first
+        column, and those first present after b - 1 in a spill column
+        that is dropped.
+        """
+        kids = self.children(v)
+        width = b - a + 1
+        lo = int(self.pre[v]) + 1
+        owner = np.repeat(np.arange(0, kids.size * width, width), self.size[kids])
+        column = np.clip(self.check[lo : lo + owner.size] - a, 0, width - 1)
+        counts = np.bincount(owner + column, minlength=kids.size * width)
+        return kids, np.cumsum(counts.reshape(kids.size, width)[:, :-1], axis=1)
+
+    def local_ranks(self, grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Jordan, betweenness, closeness and rumor root ranks at each
+        checkpoint, and the betweenness index.
+
+        At checkpoint m the vertices at least as central as the root lie in
+        regions closed upwards: for jordan and betweenness the cone
+        s(v) >= m - isqrt(score(root)) (``walks.cone_stats`` says why); for
+        closeness and rumor where the root-down diffs
+        d(v) = d(p) + m - 2 s(v) and r(v) = r(p) + log(m - s(v)) - log(s(v))
+        are <= 0, as both grow convexly down any root path.  Given its
+        parent's diffs, each region asks a child for a least size, so a
+        child is visited when its size reaches the smallest of the three at
+        some checkpoint.  Its window, the checkpoints from the first such
+        to the last, bounds where it or any vertex below it can count, so
+        its series span only that window.  Rumor diffs within
+        ``rumor_band`` of 0 are settled by ``phi_sign``; the band bounds
+        root-down sums over at most the horizon tree's height of edges.
+        """
+        checks = grid.size
+        tol = rumor_band(self.n, self.height)
+        ranks = {t: np.ones(checks, dtype=np.int64)
+                 for t in ("jordan", "betweenness", "closeness", "rumor")}
+        kids, sizes = self.child_series(1, 0, checks)
+        root = (sizes * sizes).sum(0)
+        jordan = grid - sizes.max(0, initial=0)
+        root_sd = np.sqrt(root).astype(np.int64)  # off by one at most, and rarely
+        for k in np.flatnonzero((root_sd**2 > root) | ((root_sd + 1) ** 2 <= root)).tolist():
+            root_sd[k] = isqrt(int(root[k]))
+        cone = grid - root_sd
+        best = root.copy()
+        best_label = np.ones(checks, dtype=np.int64)
+        stack = []
+
+        def push(a, kids, sizes, d, r, path):
+            """Stack the children that lie in a region at some checkpoint."""
+            w = slice(a, a + d.size)
+            m = grid[w]
+            # r is within tol of the exact diff, so a child can be in the rumor
+            # region only if (m - s) / s <= exp(tol - r), that is
+            # s >= m / (1 + exp(tol - r)), lowered here by a margin far above
+            # the rounding of that bound.
+            with np.errstate(over="ignore"):
+                rumor = m / (1 + np.exp(tol - r)) * (1 - 1e-9)
+            least = np.minimum(np.minimum(cone[w], (d + m + 1) // 2), rumor)
+            hit = sizes >= np.maximum(least, 1)
+            for j in np.flatnonzero(hit.any(1)).tolist():
+                cols = np.flatnonzero(hit[j])
+                lo, hi = int(cols[0]), int(cols[-1]) + 1
+                s = sizes[j, lo:hi]
+                mc = m[lo:hi]
+                stack.append((int(kids[j]), a + lo, s.copy(), d[lo:hi] + mc - 2 * s,
+                              r[lo:hi] + (np.log(mc - s) - np.log(s)), path))
+
+        push(0, kids, sizes, np.zeros(checks, dtype=np.int64), np.zeros(checks), ())
+        while stack:
+            v, a, s, d, r, path = stack.pop()
+            path += ((v, a, s),)
+            w = slice(a, a + s.size)
+            kids, sizes = self.child_series(v, w.start, w.stop)
+            m = grid[w]
+            score = (m - s) ** 2 + (sizes * sizes).sum(0)
+            ranks["jordan"][w] += s >= jordan[w]
+            ranks["betweenness"][w] += score <= root[w]
+            tail, tail_label = best[w], best_label[w]
+            better = (score < tail) | ((score == tail) & (v > tail_label))
+            tail[better] = score[better]
+            tail_label[better] = v
+            ranks["closeness"][w] += d <= 0
+            ranks["rumor"][w] += r < -tol
+            for i in np.flatnonzero(np.abs(r) <= tol).tolist():
+                ranks["rumor"][a + i] += _rumor_tie(path, a + i, int(m[i]))
+            push(a, kids, sizes, d, r, path)
+        return ranks, best_label
+
+
+def _rumor_tie(path: tuple, k: int, m: int) -> bool:
+    """phi(v) <= phi(root) at checkpoint k, exactly.
+
+    ``path`` holds (u, a, series of u's sizes from checkpoint a) for each
+    vertex below the root on the way down to v.
+    """
+    size = {u: int(su[k - a]) for u, a, su in path}
+    labels = [u for u, _, _ in path]
+    parent = dict(zip(labels, [1] + labels[:-1]))
+    return phi_sign(parent, size, m, labels[-1], 1) <= 0
 
 
 def run_trajectory(
@@ -181,58 +327,43 @@ def run_trajectory(
     """
     if stride is None:
         stride = default_stride(horizon)
+    checkpoint_grid(horizon, stride)  # rejects a bad horizon or stride before any draw
+    draws = rng.generator().random(horizon - 1)
+    return _track(RecursiveTree(parents_from_draws(draws), validate=False), stride,
+                  keep_series, replicate)
+
+
+def _track(
+    tree: RecursiveTree, stride: int, keep_series: bool = False, replicate: int = 0
+) -> TrajectoryResult:
+    """Track the trajectory whose tree at the horizon ``tree.n`` is ``tree``."""
+    horizon = tree.n
     grid = checkpoint_grid(horizon, stride)
-
-    targets = parents_from_draws(rng.generator().random(horizon - 1)).tolist()
-
-    traj = _Trajectory(horizon)
-
-    n_checks = len(grid)
-    series_rank = {t: np.zeros(n_checks, dtype=np.int64) for t in SWEEP_MEASURES}
-    series_index = {t: np.zeros(n_checks, dtype=np.int64) for t in SWEEP_MEASURES}
-
-    def observe_checkpoint(m: int) -> None:
-        pos = m // stride - 1
-        size, children = traj.size, traj.children
-        (series_rank["jordan"][pos], series_rank["betweenness"][pos],
-         series_index["betweenness"][pos]) = cone_stats(children, size, m)
-        series_rank["closeness"][pos], series_rank["rumor"][pos] = ball_ranks(
-            traj.parent, size, children, m, traj.centroid)
-        series_rank["degree"][pos] = traj.degree_rank()
-        for t in CENTROID_GROUP:
-            series_index[t][pos] = traj.centroid
-        series_index["degree"][pos] = traj.best_deg_label
+    horizon_tree = _Horizon(tree, stride)
+    series_rank, between = horizon_tree.local_ranks(grid)
+    series_rank["degree"] = horizon_tree.degree_ranks(grid)
+    center = horizon_tree.centroids()
+    leader = horizon_tree.degree_leaders()
+    series_index = dict.fromkeys(CENTROID_GROUP, center[grid].astype(np.int64))
+    series_index["betweenness"] = between
+    series_index["degree"] = leader[grid]
 
     # Centroid and degree leader change times are exact per step; ranks and
     # the betweenness index are only seen at checkpoints.
-    last_center = 0
-    last_degree = 0
-    if grid[0] == 1:
-        observe_checkpoint(1)
-    for m, target in enumerate(targets, 2):
-        center = traj.centroid
-        leader = traj.best_deg_label
-        traj.step(target)
-        if traj.centroid != center:
-            last_center = m
-        if traj.best_deg_label != leader:
-            last_degree = m
-        if m % stride == 0:
-            observe_checkpoint(m)
-
+    steps = np.arange(1, horizon + 1)
+    last_idx = dict.fromkeys(CENTROID_GROUP, _last_change(center[1:], steps))
+    last_idx["betweenness"] = _last_change(between, grid)
+    last_idx["degree"] = _last_change(leader[1:], steps)
     last_rank = {t: _last_change(series_rank[t], grid) for t in SWEEP_MEASURES}
-    last_idx = dict.fromkeys(CENTROID_GROUP, last_center)
-    last_idx["betweenness"] = _last_change(series_index["betweenness"], grid)
-    last_idx["degree"] = last_degree
     half = horizon // 2
     return TrajectoryResult(
         replicate=replicate,
         horizon=horizon,
         stride=stride,
-        checkpoints=grid,
         last_change_index={t: last_idx[t] for t in SWEEP_MEASURES},
         last_change_rank=last_rank,
         changed_index={t: last_idx[t] > half for t in SWEEP_MEASURES},
         changed_rank={t: last_rank[t] > half for t in SWEEP_MEASURES},
-        series={"rank": series_rank, "index": series_index} if keep_series else None,
+        series={"rank": {t: series_rank[t] for t in SWEEP_MEASURES},
+                "index": {t: series_index[t] for t in SWEEP_MEASURES}} if keep_series else None,
     )

@@ -8,9 +8,10 @@ each rank is found by walking that region instead of scoring all m
 vertices.  Jordan and betweenness share one up-closed cone below the
 root (``cone_stats``, which also finds the betweenness index); closeness
 and rumor share one ball around the centroid (``ball_ranks``).  The
-growth trajectories call both walks on the children lists they keep
-step by step, and the batch engine calls them on children found from
-one parent column on demand.
+batch engine calls both walks on children found from one parent column
+on demand.  The growth trajectories of :mod:`rootrank.persistence` read
+the same regions from their horizon tree by code of their own, so the
+two are independent implementations that the tests hold to each other.
 
 Every walk reads ``children[v]``, the children of v, and ``size[v]``,
 the subtree sizes; the ball walk also reads ``parent[v]``.  ``size`` and
@@ -76,12 +77,11 @@ def ball_ranks(parent, size, children, m: int, c: int) -> tuple[int, int]:
     """(closeness rank, rumor rank) via one ball walk from centroid ``c``.
 
     ``c`` is the centroid index, the last vertex of the root path
-    {v : 2 size(v) >= m}; the batch engine and the growth trajectories
-    both pass that vertex.  Both scores increase weakly along any path
-    leaving the centroid, so every vertex at least as central as the
-    root lies inside the region where the running diff stays at or below
-    the root's diff.  Rumor diffs within the float band of the root's are
-    settled by ``phi_sign``.
+    {v : 2 size(v) >= m}, as the batch engine passes it.  Both scores
+    increase weakly along any path leaving the centroid, so every vertex
+    at least as central as the root lies inside the region where the
+    running diff stays at or below the root's diff.  Rumor diffs within
+    the float band of the root's are settled by ``phi_sign``.
     """
     droot_c = 0
     droot_r = 0.0

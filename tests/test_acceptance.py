@@ -281,9 +281,9 @@ def test_12_persistence_separation():
 def test_12_tracker_ranks_match_engine():
     """Criterion 12's checkpoint ranks agree with the batch engine and the scorers.
 
-    The tracker and rank_index_batch share the local rank walks, so each
-    checkpoint is also held to compute_profile on the prefix tree, which
-    scores and sorts every vertex.  Both trajectories are compared at
+    The tracker's horizon-tree pass, rank_index_batch's local walks and
+    compute_profile on the prefix tree, which scores and sorts every
+    vertex, are independent codes, and each checkpoint is held to both.  Both trajectories are compared at
     m = 5*10^4 and 10^5, and at every late-half last change of a
     criterion-12 rank and the checkpoint before it.  Trajectory 1's
     betweenness rank last changes at the horizon; trajectory 11's jordan,

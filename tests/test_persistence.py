@@ -1,4 +1,4 @@
-"""Incremental trajectory tracking versus full per-tree recomputation.
+"""Trajectory tracking versus full per-tree recomputation.
 
 The tracker must replay grow_urrt's draws exactly, so every checkpoint
 can be cross-checked by rebuilding the prefix tree and running the
@@ -11,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrank import RngStream, compute_profile, grow_urrt, subtree_sizes
-from rootrank.centrality import CENTROID_GROUP, SWEEP_MEASURES, jordan_scores
+from rootrank.centrality import SWEEP_MEASURES, closeness_scores, jordan_scores, phi_sign
 from rootrank.persistence import (
-    _Trajectory,
+    _last_change,
+    _track,
     checkpoint_grid,
     default_stride,
     run_trajectory,
 )
 from rootrank.tree import RecursiveTree
-from rootrank.walks import ball_ranks, cone_stats
 
 from conftest import adversarial_compact, compact_strategy
 
@@ -32,6 +32,17 @@ def _replay_targets(horizon, seed, rep):
 
 def _prefix_tree(targets, m):
     return RecursiveTree(targets[: m - 1])
+
+
+def _assert_matches_profile(res, targets, positions):
+    """Checkpoint rows at ``positions`` equal compute_profile on the prefix trees."""
+    for pos in positions:
+        m = int(res.checkpoints[pos])
+        tree = _prefix_tree(targets, m)
+        for tag, measure in SWEEP_MEASURES.items():
+            report = compute_profile(tree, measure).report
+            got = (res.series["rank"][tag][pos], res.series["index"][tag][pos])
+            assert got == (report.root_rank, report.center_index), (tag, m)
 
 
 class TestGrid:
@@ -82,13 +93,7 @@ class TestStepwiseAgreement:
     def test_strided_checkpoints_match(self):
         horizon, stride = 2_000, 100
         res = run_trajectory(horizon, RngStream(44, 1), stride=stride, keep_series=True)
-        targets = _replay_targets(horizon, 44, 1)
-        for pos, m in enumerate(res.checkpoints.tolist()):
-            tree = _prefix_tree(targets, m)
-            for tag, measure in SWEEP_MEASURES.items():
-                report = compute_profile(tree, measure).report
-                assert res.series["rank"][tag][pos] == report.root_rank, (tag, m)
-                assert res.series["index"][tag][pos] == report.center_index, (tag, m)
+        _assert_matches_profile(res, _replay_targets(horizon, 44, 1), range(horizon // stride))
 
 
 class TestCentroidTracking:
@@ -121,39 +126,91 @@ class TestCentroidTracking:
 
 
 class TestAdversarialShapes:
-    """Tracker state against the per-tree profile at every step.
+    """Every step of a tracked horizon tree against the per-tree profile.
 
     Paths and brooms move or tie the centroid at almost every step, which
-    uniform draws rarely do.
+    uniform draws rarely do; twins make exact rumor ties that are not
+    siblings.
     """
 
     @staticmethod
-    def _check_state(traj, compact):
-        m = traj.m
-        prefix = RecursiveTree(list(compact[: m - 1]))
-        sizes = subtree_sizes(prefix)
-        assert traj.centroid == int(np.flatnonzero(2 * sizes >= m).max()), m
-        report = {tag: compute_profile(prefix, measure).report
-                  for tag, measure in SWEEP_MEASURES.items()}
-        assert (traj.degree_rank(), traj.best_deg_label) == (
-            report["degree"].root_rank, report["degree"].center_index), m
-        for tag in CENTROID_GROUP:
-            assert traj.centroid == report[tag].center_index, (tag, m)
-        children, size = traj.children, traj.size
-        assert cone_stats(children, size, m) == (
-            report["jordan"].root_rank, report["betweenness"].root_rank,
-            report["betweenness"].center_index), m
-        assert ball_ranks(traj.parent, size, children, m, traj.centroid) == (
-            report["closeness"].root_rank, report["rumor"].root_rank), m
+    def _check_every_step(compact):
+        horizon = len(compact) + 1
+        res = _track(RecursiveTree(list(compact)), 1, keep_series=True)
+        rank, index = res.series["rank"], res.series["index"]
+        for m in range(1, horizon + 1):
+            prefix = RecursiveTree(list(compact[: m - 1]))
+            sizes = subtree_sizes(prefix)
+            assert index["jordan"][m - 1] == int(np.flatnonzero(2 * sizes >= m).max()), m
+            for tag, measure in SWEEP_MEASURES.items():
+                report = compute_profile(prefix, measure).report
+                assert (rank[tag][m - 1], index[tag][m - 1]) == (
+                    report.root_rank, report.center_index), (tag, m)
+        grid = res.checkpoints
+        for tag in SWEEP_MEASURES:
+            assert res.last_change_rank[tag] == _last_change(rank[tag], grid), tag
+            assert res.last_change_index[tag] == _last_change(index[tag], grid), tag
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.one_of(adversarial_compact(), compact_strategy()))
     def test_every_step_matches_profile(self, compact):
-        traj = _Trajectory(len(compact) + 1)
-        self._check_state(traj, compact)
-        for target in compact:
-            traj.step(target)
-            self._check_state(traj, compact)
+        self._check_every_step(compact)
+
+    # A near-path tree: at m = 36 vertex 30 is at least as rumor-central as
+    # the root but lies in neither the betweenness cone nor the closeness
+    # ball, so only the rumor bound of the rank pass reaches it.
+    NEAR_PATH = (1, 2, 1, 4, 5, 6, 5, 7, 8, 8, 10, 12, 13, 14, 11, 15, 16, 16, 18, 18,
+                 20, 22, 22, 24, 23, 26, 27, 24, 27, 28, 30, 31, 31, 31, 33)
+
+    def test_rumor_region_beyond_cone_and_ball(self):
+        tree = RecursiveTree(list(self.NEAR_PATH))
+        m, v = tree.n, 30
+        sizes = subtree_sizes(tree)
+        root_score = int((sizes[2:][tree.parent[2:] == 1] ** 2).sum())
+        assert (m - sizes[v]) ** 2 > root_score
+        closeness = closeness_scores(tree)
+        assert closeness[v] > closeness[1]
+        assert phi_sign(tree.parent.tolist(), sizes.tolist(), m, v, 1) <= 0
+        self._check_every_step(self.NEAR_PATH)
+
+
+class TestStrideSampling:
+    @pytest.mark.parametrize("stride", [4, 16, 100])
+    def test_stride_samples_the_stepwise_run(self, stride):
+        """A strided run is the stride-1 run read at its grid.
+
+        Rank change times and the betweenness index's are read off the
+        sampled series; the centroid and degree leader change times are
+        exact per step either way.
+        """
+        horizon = 3_200  # the smallest multiple of 16 and 100 above 3000
+        full = run_trajectory(horizon, RngStream(45, 2), stride=1, keep_series=True)
+        res = run_trajectory(horizon, RngStream(45, 2), stride=stride, keep_series=True)
+        grid = res.checkpoints
+        for kind in ("rank", "index"):
+            for tag in SWEEP_MEASURES:
+                sampled = full.series[kind][tag][grid - 1]
+                assert np.array_equal(res.series[kind][tag], sampled), (kind, tag)
+        for tag in SWEEP_MEASURES:
+            assert res.last_change_rank[tag] == _last_change(
+                full.series["rank"][tag][grid - 1], grid), tag
+        assert res.last_change_index["betweenness"] == _last_change(
+            full.series["index"]["betweenness"][grid - 1], grid)
+        for tag in ("jordan", "closeness", "rumor", "degree"):
+            assert res.last_change_index[tag] == full.last_change_index[tag], tag
+
+    @pytest.mark.slow
+    def test_deep_candidate_sets(self):
+        """Every 25th checkpoint of three 2*10^4-step trajectories.
+
+        Longer histories reach deeper candidate sets (more vertices that
+        were once central) than the small horizons above.
+        """
+        horizon, stride = 20_000, 16
+        for rep in range(3):
+            res = run_trajectory(horizon, RngStream(46, rep), stride=stride, keep_series=True)
+            targets = _replay_targets(horizon, 46, rep)
+            _assert_matches_profile(res, targets, range(24, horizon // stride, 25))
 
 
 class TestChangeTracking:
