@@ -22,10 +22,9 @@ betweenness power sums (``np.add.at``), degree (``np.bincount``) and the
 root's total distance (the sum of sizes[2:]).  The passes that do depend
 on it, the bottom-up sizes and the root-down rerooting sums of closeness
 and rumor (``_root_down``), take one numpy call per level of the tree's
-cached level order, or one Python loop over the vertices on trees too tall
-for that to pay (``tree.wide_levels``).  Either way each vertex's score is
-one addition of its parent's finished score and its own gain, so rumor's
-rounding, which ``rumor_band`` bounds, is the same in both.
+cached level order.  Each vertex's score there is one addition of its
+parent's finished score and its own gain, the rounding that
+``rumor_band`` bounds.
 
 Ties are always broken pessimistically: among equally central vertices
 the one inserted later (larger label) ranks first.  ``_rank_exact`` gets
@@ -45,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree import Levels, RecursiveTree, subtree_sizes, wide_levels
+from .tree import Levels, RecursiveTree, subtree_sizes
 
 
 class ScoreOverflowError(OverflowError):
@@ -175,26 +174,19 @@ def closeness_scores(
     _check_closeness_int64(n)
     sizes = _sizes_or(tree, sizes)
     root = int(sizes[2:].sum())
-    return _root_down(tree.parent, root, n - 2 * sizes, wide_levels(tree))
+    return _root_down(tree.parent, root, n - 2 * sizes, tree.levels)
 
 
 def _root_down(
-    parent: np.ndarray, first: int | float, gain: np.ndarray, levels: Levels | None
+    parent: np.ndarray, first: int | float, gain: np.ndarray, levels: Levels
 ) -> np.ndarray:
     """``out[1] = first`` and ``out[v] = out[parent[v]] + gain[v]`` for v >= 2.
 
-    One numpy call per level, or without levels one loop over the vertices
-    in label order; parents come first either way.  The result has
-    ``gain``'s dtype and slot 0 is 0.
+    One numpy call per level, root first, so every parent is finished
+    before its children read it.  The result has ``gain``'s dtype and
+    slot 0 is 0.
     """
-    n = parent.size - 1
-    if levels is None:
-        out = [0] * (n + 1)
-        out[1] = first
-        for v, p, g in zip(range(2, n + 1), parent[2:].tolist(), gain[2:].tolist()):
-            out[v] = out[p] + g
-        return np.array(out, dtype=gain.dtype)
-    out = np.zeros(n + 1, dtype=gain.dtype)
+    out = np.zeros(parent.size, dtype=gain.dtype)
     out[1] = first
     for d in range(1, levels.height + 1):
         idx = levels.level(d)
@@ -250,10 +242,9 @@ def rumor_band(n: int, height: int) -> float:
     6e-12.  The bound holds for sums along any paths of at most
     ``height`` edges from one start vertex, and no path in a tree has
     more than n - 1 edges, so ``height = n - 1`` is sound for any shape.
-    ``_root_down`` runs the sums level by level or vertex by vertex, but
-    either way each score is one rounded addition of its parent's finished
-    score and its own gain, so every root path has the same rounding
-    sequence and the bound covers both.
+    ``_root_down`` runs the sums level by level, each score one rounded
+    addition of its parent's finished score and its own gain: the
+    per-edge rounding counted here.
     """
     if n < 2 or height < 1:
         return 0.0
@@ -301,7 +292,7 @@ def rumor_scores(
         logs = np.log(sizes[2:].astype(np.float64))
         gain[2:] = np.log((n - sizes[2:]).astype(np.float64)) - logs
         root_score = float(np.sum(logs))
-    rel = _root_down(tree.parent, 0.0, gain, wide_levels(tree))
+    rel = _root_down(tree.parent, 0.0, gain, tree.levels)
     out = rel + root_score
     out[0] = 0.0
     return out, RumorComparator(tree, sizes, rel, tree.levels.height)

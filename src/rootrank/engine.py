@@ -12,11 +12,12 @@ one merged tree, the block's columns hung from a common super-root, so
 the per-level numpy calls are shared by every tree of the block.  The
 centroid is one reduction over the block's sizes, and degree one
 ``bincount`` per column.  The other root ranks, and the betweenness index,
-come from the two local walks of :mod:`rootrank.walks` that the growth
-trajectories use too, at most one call of each per column: the root cone
-for jordan and betweenness, the centroid ball for closeness and rumor.
-They visit only the few vertices around the centroid, so no score matrix
-is built.
+come from the two local walks of :mod:`rootrank.walks`, at most one call
+of each per column: the root cone for jordan and betweenness, the
+centroid ball for closeness and rumor.  They visit only the few vertices
+around the centroid, so no score matrix is built.  The growth
+trajectories of :mod:`rootrank.persistence` find the same ranks another
+way, from their horizon tree, so each code checks the other.
 
 A sweep is split into chunks of replicates.  A chunk is the unit of
 parallel dispatch and of output grouping, not of memory: a chunk job

@@ -44,7 +44,7 @@ import numpy as np
 
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES, _root_down, phi_sign, rumor_band
 from .rng import RngStream
-from .tree import RecursiveTree, depth_dtype, parents_from_draws, subtree_sizes, wide_levels
+from .tree import RecursiveTree, depth_dtype, parents_from_draws, subtree_sizes
 
 __all__ = [
     "TrajectoryResult",
@@ -130,7 +130,7 @@ class _Horizon:
         # A child starts one past its parent, after its earlier siblings.
         gain = np.zeros(n + 1, dtype=np.int64)
         gain[kids] = 1 + before[:-1] - before[start]
-        pre = _root_down(parent, 0, gain, wide_levels(tree))
+        pre = _root_down(parent, 0, gain, tree.levels)
         idx = depth_dtype(n)
         label = np.empty(n, dtype=idx)
         label[pre[1:]] = np.arange(1, n + 1, dtype=idx)

@@ -11,11 +11,11 @@ Trees are immutable after construction.  The parent array is stored
 math.  Sizes and scores elsewhere use 64-bit integers throughout since
 n^2 terms appear downstream.
 
-Each tree caches its level order: the depths, found by pointer jumping,
-and the vertices grouped by depth.  On bushy trees the subtree sizes (here)
-and the root-down sums of ``centrality`` then take one numpy call per
-level; on tall ones, where levels are few vertices wide, they keep one
-Python loop over the vertices.
+Each tree caches its level order: the vertices grouped by depth, with
+the depths found by pointer jumping.  The subtree sizes (here) and the
+root-down sums of ``centrality`` take one numpy call per level.  A
+uniform tree's height is about e ln n, so its levels are wide; a tree of
+height near n, such as a path, pays one call per vertex.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ def depth_dtype(n: int) -> type:
 class Levels:
     """Vertices of a tree grouped by depth, root first.
 
-    ``depth[v]`` is the number of edges from the root to v (slot 0 is 0).
-    Level d is ``order[bounds[d] : bounds[d + 1]]``; ``order`` is 1..n in a
-    stable sort by depth, so each level lists its labels in ascending order.
+    Level d holds the vertices d edges below the root and is
+    ``order[bounds[d] : bounds[d + 1]]``; ``order`` is 1..n in a stable
+    sort by depth, so each level lists its labels in ascending order.
     """
 
-    depth: np.ndarray
     order: np.ndarray
     bounds: np.ndarray
     height: int
@@ -86,7 +85,7 @@ def _build_levels(parent: np.ndarray) -> Levels:
     order = np.argsort(key, kind="stable") + 1
     bounds = np.zeros(height + 2, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=height + 1), out=bounds[1:])
-    return Levels(depth, order, bounds, height)
+    return Levels(order, bounds, height)
 
 
 class RecursiveTree:
@@ -135,25 +134,12 @@ class RecursiveTree:
 
     @property
     def levels(self) -> Levels:
-        """Depths and the vertices by depth (built lazily, cached)."""
+        """The vertices by depth (built lazily, cached)."""
         cached = self._levels
         if cached is None:
             cached = _build_levels(self.parent)
             object.__setattr__(self, "_levels", cached)
         return cached
-
-
-# Mean level width n / (h + 1) from which one numpy call per level beats
-# one Python loop over the vertices.  Both ways cost the same near width 20
-# on URRTs and on trees of equal-width levels (2 cores, numpy 2.4); at 32
-# the level passes are about 1.8 times faster.
-_MIN_LEVEL_WIDTH = 32
-
-
-def wide_levels(tree: RecursiveTree) -> Levels | None:
-    """The tree's levels when per-level passes pay off, else None."""
-    levels = tree.levels
-    return levels if tree.n >= _MIN_LEVEL_WIDTH * (levels.height + 1) else None
 
 
 def parents_from_draws(u: np.ndarray) -> np.ndarray:
@@ -183,27 +169,12 @@ def grow_urrt(n: int, rng: np.random.Generator | RngStream) -> RecursiveTree:
 def subtree_sizes(tree: RecursiveTree) -> np.ndarray:
     """Subtree size of every vertex (rooted at 1), from the leaves up.
 
-    Returns an int64 array of length n+1; slot 0 is 0.
-    """
-    return _sizes(tree.parent, wide_levels(tree))
-
-
-def _sizes(parent: np.ndarray, levels: Levels | None) -> np.ndarray:
-    """Subtree sizes, one level per numpy call or, without levels, one vertex loop.
-
     The vertices of a level are finished once every deeper level is added,
     so each level is one ``np.add.at`` of their sizes into their parents.
-    Integer sums are exact in any order, so both ways give the same array.
+    Returns an int64 array of length n+1; slot 0 is 0.
     """
-    n = parent.size - 1
-    if levels is None:
-        par = parent.tolist()
-        size = [1] * (n + 1)
-        size[0] = 0
-        for v in range(n, 1, -1):
-            size[par[v]] += size[v]
-        return np.array(size, dtype=np.int64)
-    size = np.ones(n + 1, dtype=np.int64)
+    parent, levels = tree.parent, tree.levels
+    size = np.ones(tree.n + 1, dtype=np.int64)
     size[0] = 0
     for d in range(levels.height, 0, -1):
         idx = levels.level(d)

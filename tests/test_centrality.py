@@ -33,7 +33,6 @@ from rootrank.centrality import (
     _check_rank_int64,
     _rank_exact,
     _resolve_rumor_ties,
-    _root_down,
     betweenness_pairs_scores,
     betweenness_q,
     betweenness_sq_scores,
@@ -52,7 +51,7 @@ from rootrank.oracles import (
     oracle_rumor,
     verify_tree,
 )
-from rootrank.tree import RecursiveTree, enumerate_recursive_trees, wide_levels
+from rootrank.tree import RecursiveTree, enumerate_recursive_trees
 
 from conftest import adversarial_compact, children_lists, compact_strategy, twin_compact
 
@@ -391,7 +390,7 @@ def _caterpillar(n, spine, seed):
 
 
 class TestLevelBranches:
-    """The per-level passes and the vertex loops, each against the oracles."""
+    """The per-level passes against the oracles, on bushy and on tall trees."""
 
     @pytest.mark.parametrize(
         "tree",
@@ -401,33 +400,11 @@ class TestLevelBranches:
             RecursiveTree([1] * 11 + [2 + (v - 13) % 11 for v in range(13, 301)]),
             grow_urrt(600, RngStream(61, 0)),
             grow_urrt(700, RngStream(61, 1)),
+            RecursiveTree(list(range(1, 250))),
+            RecursiveTree(_caterpillar(250, 60, 0)),
+            RecursiveTree(_caterpillar(250, 10, 1)),
         ],
-        ids=["star", "broom2", "urrt600", "urrt700"],
+        ids=["star", "broom2", "urrt600", "urrt700", "path", "caterpillar60", "caterpillar10"],
     )
     def test_level_branch_against_oracles(self, tree):
-        assert wide_levels(tree) is not None
         verify_tree(tree)
-
-    @pytest.mark.parametrize(
-        "compact",
-        [list(range(1, 250)), _caterpillar(250, 60, 0), _caterpillar(250, 10, 1)],
-        ids=["path", "caterpillar60", "caterpillar10"],
-    )
-    def test_vertex_loop_against_oracles(self, compact):
-        tree = RecursiveTree(compact)
-        assert wide_levels(tree) is None
-        verify_tree(tree)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_branches_agree(self, seed):
-        # byte-equal: every vertex is the same addition of the same operands
-        tree = grow_urrt(10_000, RngStream(62, seed))
-        levels = wide_levels(tree)
-        assert levels is not None
-        sizes = subtree_sizes(tree)
-        gain = np.zeros(tree.n + 1)
-        gain[2:] = np.log((tree.n - sizes[2:]).astype(np.float64)) - np.log(sizes[2:].astype(np.float64))
-        for first, g in ((int(sizes[2:].sum()), tree.n - 2 * sizes), (0.0, gain)):
-            slow = _root_down(tree.parent, first, g, None)
-            fast = _root_down(tree.parent, first, g, levels)
-            assert slow.dtype == fast.dtype and slow.tobytes() == fast.tobytes()

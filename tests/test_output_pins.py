@@ -20,7 +20,7 @@ from rootrank import ExperimentConfig, RngStream, grow_urrt, run_experiment
 from rootrank.centrality import SWEEP_MEASURES
 from rootrank.cli import main
 from rootrank.engine import rank_index_sweep_chunk
-from rootrank.tree import wide_levels, write_edge_list
+from rootrank.tree import write_edge_list
 
 
 def _sha256(text: str) -> str:
@@ -82,7 +82,6 @@ def test_centrality_all_bytes(capsys, tmp_path, monkeypatch):
 def test_centrality_all_bytes_level_passes(capsys, tmp_path, monkeypatch):
     # Taken before the per-level passes existed, from the vertex loops.
     tree = grow_urrt(20_000, RngStream(5))
-    assert wide_levels(tree) is not None
     assert _centrality_all(capsys, tmp_path, monkeypatch, tree) == (
         "b2eb943bd2bd8457734ac50427432994d76dca83cb99f1c0174143c5ebbc1cbd",
         "c66fd46bfbafdc9c577b4dc371ac1d43939992fa1389c498ff5e921b0de9d335",

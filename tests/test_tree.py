@@ -9,12 +9,10 @@ from rootrank.engine import generate_parent_matrix
 from rootrank.tree import (
     EdgeListParseError,
     RecursiveTree,
-    _sizes,
     depth_dtype,
     parse_edge_list,
     read_edge_list,
     serialize_tree,
-    wide_levels,
     write_edge_list,
 )
 
@@ -139,6 +137,23 @@ def _direct_depths(tree):
     return depth
 
 
+def _level_depths(tree):
+    depth = [0] * (tree.n + 1)
+    levels = tree.levels
+    for d in range(levels.height + 1):
+        for v in levels.level(d).tolist():
+            depth[v] = d
+    return depth
+
+
+def _direct_sizes(tree):
+    par = tree.parent.tolist()
+    size = [0] + [1] * tree.n
+    for v in range(tree.n, 1, -1):
+        size[par[v]] += size[v]
+    return size
+
+
 class TestLevels:
     @pytest.mark.parametrize(
         "compact",
@@ -149,22 +164,21 @@ class TestLevels:
         tree = RecursiveTree(compact)
         levels = tree.levels
         depth = _direct_depths(tree)
-        assert levels.depth.tolist() == depth
         assert levels.height == max(depth[1:])
         assert levels.bounds[0] == 0 and levels.bounds[-1] == tree.n
         for d in range(levels.height + 1):
             assert levels.level(d).tolist() == [v for v in range(1, tree.n + 1) if depth[v] == d]
+        assert subtree_sizes(tree).tolist() == _direct_sizes(tree)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(compact_strategy(max_n=200))
     def test_depths_property(self, compact):
         tree = RecursiveTree(list(compact))
-        assert tree.levels.depth.tolist() == _direct_depths(tree)
+        assert _level_depths(tree) == _direct_depths(tree)
 
     def test_cached(self):
         tree = grow_urrt(1000, RngStream(3))
         assert tree.levels is tree.levels
-        assert tree.levels.depth.dtype == np.int32
 
     def test_depth_dtype_rule(self):
         # int32 holds every depth and partial depth while n + 1 < 2^31
@@ -172,10 +186,3 @@ class TestLevels:
         assert depth_dtype(2**31 - 2) is np.int32
         assert depth_dtype(2**31 - 1) is np.int64
         assert depth_dtype(10**12) is np.int64
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_size_branches_agree(self, seed):
-        tree = grow_urrt(10_000, RngStream(31, seed))
-        levels = wide_levels(tree)
-        assert levels is not None
-        assert np.array_equal(_sizes(tree.parent, None), _sizes(tree.parent, levels))
