@@ -467,7 +467,7 @@ def _hoppe_chunk_job(seed, horizon, start, stop) -> list[int]:
     out = []
     for rep in range(start, stop):
         run = _urns.hoppe_run(horizon, RngStream(seed, rep).generator())
-        out.append(int(run.change_times[-1]) if len(run.change_times) else 0)
+        out.append(int(run.change_times[-1]))
     return out
 
 

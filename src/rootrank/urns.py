@@ -8,8 +8,12 @@ Three related samplers live here:
   truncated at a finite horizon (so it is a lower bound of the
   infinite-horizon event; the horizon is always explicit).
 * Hoppe urn: one black ball of weight 1; drawing black founds a new
-  color, drawing a colored ball duplicates it.  Tracks the leading
-  color (ties to the earliest-born color) and every time it changes.
+  color, drawing a colored ball duplicates it.  Ball i draws
+  floor(u * i), the attachment rule of a URRT with ball i as vertex
+  i + 1 and black as the root, so the colors are the root subtrees of
+  ``grow_urrt`` on the same draws and are read off that tree.  Tracks
+  the leading color (ties to the earliest-born color) and every time
+  it changes.
 * Exact sampler for D = max(U1, (1-U1)U2, (1-U1)(1-U2)U3, ...): the
   running product bounds every future term, so the first time it drops
   below the current maximum the draw can stop, having produced an exact
@@ -23,6 +27,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .centrality import _root_down
+from .tree import grow_urrt
 
 _DIAGONAL_DP_MAX_HORIZON = 500
 # Steps per block of the vectorized urns; each replicate draws a block's
@@ -137,71 +144,40 @@ class HoppeRun:
     changed, including its first establishment at t = 1.
     """
 
-    steps: int
     num_colors: np.ndarray
     leader: np.ndarray
     leader_count: np.ndarray
     change_times: np.ndarray
-    final_counts: np.ndarray
 
 
 def hoppe_run(steps: int, rng: np.random.Generator) -> HoppeRun:
-    """Run a Hoppe urn for ``steps`` draws, tracking the leading color."""
+    """Run a Hoppe urn for ``steps`` draws, tracking the leading color.
+
+    Ball i is vertex i + 1 of ``grow_urrt(steps + 1, rng)`` and its color
+    is the birth rank of the root child above it.  Counts only grow, so
+    the leader is the running maximum over the events "a color reaches
+    count k", keyed so that the earlier color wins a tie.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    num_colors = np.zeros(steps + 1, dtype=np.int64)
-    leader_arr = np.zeros(steps + 1, dtype=np.int64)
-    leader_count_arr = np.zeros(steps + 1, dtype=np.int64)
-    changes: list[int] = []
-    if steps == 0:
-        return HoppeRun(0, num_colors, leader_arr, leader_count_arr,
-                        np.array([], dtype=np.int64), np.array([0], dtype=np.int64))
-
-    u = rng.random(steps)
-    # Ball drawn at step i is uniform over {black} + the i-1 colored balls.
-    targets = (u * np.arange(1, steps + 1)).astype(np.int64).tolist()
-
-    col = [0] * (steps + 1)  # color of the ball added at each step
-    counts = [0]             # counts[c] for color c; slot 0 unused
-    leader = 0
-    lead_count = 0
-    ncolors = 0
-    nc_out = num_colors
-    ld_out = leader_arr
-    lc_out = leader_count_arr
-    for i in range(1, steps + 1):
-        k = targets[i - 1]
-        if k == 0:
-            ncolors += 1
-            counts.append(1)
-            c = ncolors
-            col[i] = c
-            if leader == 0:
-                leader = c
-                lead_count = 1
-                changes.append(i)
-        else:
-            c = col[k]
-            col[i] = c
-            cc = counts[c] + 1
-            counts[c] = cc
-            if c != leader and (cc > lead_count or (cc == lead_count and c < leader)):
-                leader = c
-                lead_count = cc
-                changes.append(i)
-            elif c == leader:
-                lead_count = cc
-        nc_out[i] = ncolors
-        ld_out[i] = leader
-        lc_out[i] = lead_count
-    return HoppeRun(
-        steps,
-        num_colors,
-        leader_arr,
-        leader_count_arr,
-        np.array(changes, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
+    tree = grow_urrt(steps + 1, rng)
+    parent = tree.parent
+    founds = parent == 1
+    num_colors = np.cumsum(founds)
+    color = _root_down(parent, 0, np.where(founds, num_colors, 0), tree.levels)[2:]
+    # A ball's count at its step is one more than the earlier balls of its color.
+    order = np.argsort(color, kind="stable")
+    ordered = color[order]
+    count = np.empty(steps, dtype=np.int64)
+    count[order] = np.arange(1, steps + 1) - np.searchsorted(ordered, ordered)
+    # Key b - 1 at t = 0 reads back as count 0 and color 0.
+    b = steps + 2
+    key = np.empty(steps + 1, dtype=np.int64)
+    key[0] = b - 1
+    key[1:] = count * b + (b - 1 - color)
+    leader_count, rest = np.divmod(np.maximum.accumulate(key), b)
+    leader = b - 1 - rest
+    return HoppeRun(num_colors[1:], leader, leader_count, np.flatnonzero(np.diff(leader)) + 1)
 
 
 def sample_dickman(rng: np.random.Generator) -> float:

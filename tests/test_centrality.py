@@ -389,7 +389,7 @@ def _caterpillar(n, spine, seed):
     return [v - 1 if v <= spine else int(rng.integers(1, spine + 1)) for v in range(2, n + 1)]
 
 
-class TestLevelBranches:
+class TestLevelPasses:
     """The per-level passes against the oracles, on bushy and on tall trees."""
 
     @pytest.mark.parametrize(
@@ -406,5 +406,5 @@ class TestLevelBranches:
         ],
         ids=["star", "broom2", "urrt600", "urrt700", "path", "caterpillar60", "caterpillar10"],
     )
-    def test_level_branch_against_oracles(self, tree):
+    def test_against_oracles(self, tree):
         verify_tree(tree)

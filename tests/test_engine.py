@@ -209,8 +209,7 @@ class TestBlocks:
     """Blocks of columns share one merged tree for their subtree sizes.
 
     The results must not depend on where the block boundaries fall, on the
-    layout of the parent matrix, or on which branch ``subtree_sizes`` takes
-    on the merged tree.
+    layout of the parent matrix, or on the height of the merged tree.
     """
 
     def _check(self, parents, n, trees):

@@ -2,13 +2,16 @@
 
 Criterion 14 compares outputs of one commit under different worker
 counts; these hashes tie the sweep CSV, the persistence CSV, the
-``centrality --measure all`` output and the batch engine's rank and
-index arrays to fixed values, so a refactor that changes a single byte
-of them fails here.  The first three were taken before the measure
-registry, the draw-to-parent map and the engine's size pass were each
-moved to one place; the engine's before its ranks moved to local walks.
-The 300-vertex ``centrality`` tree takes the per-tree scorers' vertex
-loops and the 20000-vertex one their per-level passes.
+``centrality --measure all`` output, the batch engine's rank and index
+arrays and the Hoppe urn's CSV and ``urn`` output to fixed values, so a
+refactor that changes a single byte of them fails here.  The first
+three were taken before the measure registry, the draw-to-parent map
+and the engine's size pass were each moved to one place; the engine's
+before its ranks moved to local walks; the Hoppe ones from the per-ball
+loop, before the urn was read off the root subtrees of ``grow_urrt``.
+The 300-vertex ``centrality`` tree is 11 levels deep and the
+20000-vertex one was pinned from the vertex loops the per-level passes
+replaced.
 """
 
 import hashlib
@@ -60,6 +63,24 @@ def test_persistence_csv_bytes():
     )
     assert _sha256(run_experiment(config)[0].csv_text()) == (
         "498c7eec5ca88c14d8faeac062191bb4520b1ea0951e380dbd1a48aadf0488d2"
+    )
+
+
+def test_hoppe_csv_bytes():
+    # 300 runs are three urn chunks.
+    config = ExperimentConfig(
+        experiment="hoppe-leader-change", seed=5, horizon=2_000, runs=300,
+        t_grid=(10, 100, 1_000),
+    )
+    assert _sha256(run_experiment(config)[0].csv_text()) == (
+        "6f6e9233cfacd5f40d28c9246d6f4768a8a7070721b7f9532770cc0de5dcf858"
+    )
+
+
+def test_hoppe_urn_stdout_bytes(capsys):
+    assert main(["urn", "--kind", "hoppe", "--steps", "5000", "--seed", "4"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "7db4b234044d1fcfca9265e9e157129cad1555a6a96849b63d2a7cfa1c7971d8"
     )
 
 

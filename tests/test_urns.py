@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from rootrank import RngStream
+from rootrank import RngStream, grow_urrt, subtree_sizes
+from rootrank.centrality import degree_scores, jordan_scores
+from rootrank.tree import RecursiveTree
 from rootrank.urns import (
     hoppe_run,
     polya_diagonal_hit_exact,
@@ -108,18 +110,36 @@ class TestPolya:
 class TestHoppe:
     def test_first_step(self):
         run = hoppe_run(1, RngStream(1).generator())
-        assert run.num_colors[1] == 1
-        assert run.leader[1] == 1
-        assert run.leader_count[1] == 1
-        assert run.final_counts.tolist() == [0, 1]  # slot 0 unused
+        # no color exists before the first ball
+        assert run.num_colors.tolist() == [0, 1]
+        assert run.leader.tolist() == [0, 1]
+        assert run.leader_count.tolist() == [0, 1]
         assert run.change_times.tolist() == [1]
 
     def test_conservation_and_birth_order(self):
         run = hoppe_run(3_000, RngStream(21).generator())
-        assert sum(run.final_counts) == 3_000
-        for t in range(1, 3_001):
-            assert run.num_colors[t] >= run.num_colors[t - 1]
-            assert run.leader_count[t] >= 1
+        t = np.arange(3_001)
+        # every other color holds at least one of the t balls
+        assert (run.leader_count + np.maximum(run.num_colors - 1, 0) <= t).all()
+        assert (np.diff(run.num_colors) >= 0).all()
+        assert (run.leader_count[1:] >= 1).all()
+        assert (run.leader <= run.num_colors).all()
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 60, 300])
+    def test_every_step_is_a_prefix_tree(self, steps):
+        # Ball i is vertex i + 1 and black is the root: at step t the colors
+        # are the root subtrees of the tree on vertices 1..t+1.
+        for i in range(4):
+            run = hoppe_run(steps, RngStream(25, i).generator())
+            tree = grow_urrt(steps + 1, RngStream(25, i))
+            for t in range(steps + 1):
+                prefix = RecursiveTree(tree.parent[2 : t + 2])
+                assert run.num_colors[t] == degree_scores(prefix)[1]
+                assert run.leader_count[t] == jordan_scores(prefix)[1]
+                sizes = subtree_sizes(prefix)[prefix.parent == 1]
+                # argmax takes the first largest, the earliest-born color
+                leader = int(np.argmax(sizes)) + 1 if sizes.size else 0
+                assert run.leader[t] == leader
 
     def test_change_times_strictly_increasing(self):
         run = hoppe_run(5_000, RngStream(22).generator())
