@@ -23,7 +23,7 @@ from .experiments import (
     run_experiment,
 )
 from .rng import RngStream
-from .tree import EdgeListParseError, grow_urrt, read_edge_list, serialize_tree
+from .tree import grow_urrt, read_edge_list, serialize_tree
 
 _CENTRALITY_CHOICES = (*_centrality.MEASURES, "betweenness-q", "all")
 
@@ -246,12 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except EdgeListParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ScoreOverflowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -12,12 +12,12 @@ one merged tree, the block's columns hung from a common super-root, so
 the per-level numpy calls are shared by every tree of the block.  The
 centroid is one reduction over the block's sizes, and degree one
 ``bincount`` per column.  The other root ranks, and the betweenness index,
-come from the two local walks of :mod:`rootrank.walks`, at most one call
-of each per column: the root cone for jordan and betweenness, the
-centroid ball for closeness and rumor.  They visit only the few vertices
-around the centroid, so no score matrix is built.  The growth
-trajectories of :mod:`rootrank.persistence` find the same ranks another
-way, from their horizon tree, so each code checks the other.
+come from one walk down from the root per column,
+:func:`rootrank.walks.root_walk`.  It descends only into the small
+regions where a vertex can be as central as the root, so no score matrix
+is built.  The growth trajectories of :mod:`rootrank.persistence` apply
+the same region rule to their horizon tree over all checkpoints at once;
+the tests hold both to ``compute_profile``.
 
 A sweep is split into chunks of replicates.  A chunk is the unit of
 parallel dispatch and of output grouping, not of memory: a chunk job
@@ -38,7 +38,7 @@ import numpy as np
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
 from .tree import RecursiveTree, parents_from_draws, subtree_sizes
-from .walks import ball_ranks, cone_stats
+from .walks import root_walk
 
 __all__ = [
     "chunk_rows",
@@ -165,26 +165,20 @@ def rank_index_batch(
             degree[2:] += 1
             rank["degree"][j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
             index["degree"][j] = n - np.argmax(degree[:0:-1])  # largest label on ties
-    cone = "jordan" in measures or "betweenness" in measures
-    ball = "closeness" in measures or "rumor" in measures
-    if cone or ball:
+    if set(measures) - {"degree"}:
         for lo, columns, block_sizes in _blocks(parents, n):
             # Vertices with 2 s(v) >= n form a path from the root, and labels
             # grow along it, so its largest label is its last vertex: the
             # centroid, or the child of a tied centroid pair.  That is the
-            # center index of the centroid group, and the ball walks start there.
+            # center index of the centroid group.
             center = n - np.argmax(block_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
             for tag in CENTROID_GROUP:
                 index[tag][lo : lo + center.size] = center
-            for j, column, sizes, c in zip(range(lo, rows), columns, block_sizes, center.tolist()):
-                children = _Children(column)
-                size = memoryview(sizes)  # items are Python ints, as the walks need
-                if cone:
-                    rank["jordan"][j], rank["betweenness"][j], index["betweenness"][j] = (
-                        cone_stats(children, size, n))
-                if ball:
-                    rank["closeness"][j], rank["rumor"][j] = ball_ranks(
-                        memoryview(column), size, children, n, c)
+            for j, column, sizes in zip(range(lo, rows), columns, block_sizes):
+                # memoryviews: items are Python ints, as the walk needs
+                (rank["jordan"][j], rank["betweenness"][j], index["betweenness"][j],
+                 rank["closeness"][j], rank["rumor"][j]) = root_walk(
+                    memoryview(column), memoryview(sizes), _Children(column), n)
     return {tag: (rank[tag], index[tag]) for tag in measures}
 
 

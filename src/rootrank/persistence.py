@@ -23,12 +23,13 @@ v's slice of the horizon tree's preorder, and nothing is stepped:
 * The other ranks and the betweenness index are read at the checkpoints,
   every ``stride`` steps.  A vertex at least as central as the root
   lies, at that checkpoint, in the root cone of jordan and betweenness,
-  the closeness ball or the rumor band, regions that are closed upwards
+  the closeness region or the rumor region, which are closed upwards
   and small (Bubeck, Devroye and Lugosi, "Finding Adam in random growing
   trees", 2017).  One depth-first pass from the root descends only into
   children that lie in one of them at some checkpoint, and adds each
-  rank as a vector over the checkpoints.  The batch engine finds the
-  same ranks by the walks of :mod:`rootrank.walks`, one tree at a time.
+  rank as a vector over the checkpoints.  The batch engine applies the
+  same region rule to one tree at a time, in scalars, by
+  :func:`rootrank.walks.root_walk`.
 
 Every count is exact: rumor near ties are settled by ``phi_sign`` on
 the path's sizes.  Tests hold the series to ``compute_profile`` on the
@@ -114,7 +115,7 @@ class _Horizon:
     degree ``parent[v]`` reaches when v attaches.
     """
 
-    __slots__ = ("n", "stride", "parent", "size", "height", "kids", "first", "pre",
+    __slots__ = ("n", "parent", "size", "height", "kids", "first", "pre",
                  "label", "check", "parent_degree")
 
     def __init__(self, tree: RecursiveTree, stride: int):
@@ -138,7 +139,6 @@ class _Horizon:
         parent_degree = np.zeros(n + 1, dtype=np.int64)
         parent_degree[kids] = np.arange(1, n) - start + (parent[kids] > 1)
         self.n = n
-        self.stride = stride
         self.parent = parent
         self.size = size
         self.height = tree.levels.height
@@ -231,7 +231,7 @@ class _Horizon:
 
         At checkpoint m the vertices at least as central as the root lie in
         regions closed upwards: for jordan and betweenness the cone
-        s(v) >= m - isqrt(score(root)) (``walks.cone_stats`` says why); for
+        s(v) >= m - isqrt(score(root)) (``walks.root_walk`` says why); for
         closeness and rumor where the root-down diffs
         d(v) = d(p) + m - 2 s(v) and r(v) = r(p) + log(m - s(v)) - log(s(v))
         are <= 0, as both grow convexly down any root path.  Given its

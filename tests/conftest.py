@@ -20,6 +20,13 @@ from hypothesis import strategies as st
 from rootrank.tree import RecursiveTree
 
 
+# A near-path tree: at m = 36 vertex 30 is at least as rumor-central as the
+# root but lies in neither the betweenness cone nor the closeness region, so
+# only the rumor bound of a root-down rank walk reaches it.
+NEAR_PATH = (1, 2, 1, 4, 5, 6, 5, 7, 8, 8, 10, 12, 13, 14, 11, 15, 16, 16, 18, 18,
+             20, 22, 22, 24, 23, 26, 27, 24, 27, 28, 30, 31, 31, 31, 33)
+
+
 def compact_strategy(max_n: int = 24):
     """Random valid compact parent lists: parent of v drawn from 1..v-1."""
     return st.integers(min_value=1, max_value=max_n).flatmap(

@@ -281,11 +281,12 @@ def test_12_persistence_separation():
 def test_12_tracker_ranks_match_engine():
     """Criterion 12's checkpoint ranks agree with the batch engine and the scorers.
 
-    The tracker's horizon-tree pass, rank_index_batch's local walks and
-    compute_profile on the prefix tree, which scores and sorts every
-    vertex, are independent codes, and each checkpoint is held to both.  Both trajectories are compared at
-    m = 5*10^4 and 10^5, and at every late-half last change of a
-    criterion-12 rank and the checkpoint before it.  Trajectory 1's
+    The tracker's horizon-tree pass and rank_index_batch's root walk apply
+    one region rule in two shapes, over all checkpoints at once and one
+    tree at a time; compute_profile on the prefix tree scores and sorts
+    every vertex.  Each checkpoint is held to both.  Both trajectories are
+    compared at m = 5*10^4 and 10^5, and at every late-half last change of
+    a criterion-12 rank and the checkpoint before it.  Trajectory 1's
     betweenness rank last changes at the horizon; trajectory 11's jordan,
     closeness and rumor ranks last change together at m = 70848.  One
     engine call covers a prefix size for both trajectories.

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootrank import (
@@ -20,7 +20,7 @@ from rootrank import (
     grow_urrt,
     rank_index_batch,
 )
-from rootrank import engine
+from rootrank import engine, walks
 from rootrank.centrality import SWEEP_MEASURES, jordan_scores
 from rootrank.engine import (
     chunk_rows,
@@ -31,7 +31,7 @@ from rootrank.engine import (
 from rootrank.experiments import _fraction_chunk_job
 from rootrank.tree import RecursiveTree, subtree_sizes
 
-from conftest import adversarial_compact, children_lists, compact_strategy
+from conftest import NEAR_PATH, adversarial_compact, children_lists, compact_strategy
 
 
 def _column_tree(parents, j):
@@ -102,9 +102,12 @@ class TestAgreementWithPerTree:
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.one_of(compact_strategy(max_n=24), adversarial_compact()))
+    @example(NEAR_PATH)
     def test_shapes_match_compute_profile(self, compact):
         # stars, paths, brooms, caterpillars and twin trees stress the
-        # walks' pruning, the tied twin centroid and exact rumor ties
+        # walk's three bounds, the tied twin centroid and exact rumor ties;
+        # NEAR_PATH has a vertex as rumor-central as the root that only the
+        # rumor bound reaches
         tree = RecursiveTree(list(compact))
         parents = np.zeros((tree.n + 1, 1), dtype=np.int64)
         parents[:, 0] = tree.parent
@@ -116,8 +119,8 @@ class TestAgreementWithPerTree:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_recursive_tree(self, n):
-        # all (n - 1)! trees up to n = 8 hold every tie shape the cone and
-        # ball walks can meet at these sizes
+        # all (n - 1)! trees up to n = 8 hold every tie shape the root walk
+        # can meet at these sizes
         trees = list(enumerate_recursive_trees(n))
         parents = np.stack([tree.parent for tree in trees], axis=1)
         got = rank_index_batch(parents, n)
@@ -125,6 +128,21 @@ class TestAgreementWithPerTree:
             reports = [compute_profile(tree, measure).report for tree in trees]
             assert got[tag][0].tolist() == [r.root_rank for r in reports], tag
             assert got[tag][1].tolist() == [r.center_index for r in reports], tag
+
+    @pytest.mark.parametrize("n, reps", [(300, 20), (60, 40)])
+    def test_wide_rumor_band(self, monkeypatch, n, reps):
+        # The walk is exact for any band at least as wide as the rounding
+        # bound: phi_sign settles every vertex in the band, and the walk goes
+        # on below it.
+        monkeypatch.setattr(walks, "rumor_band", lambda m, height: 0.5)
+        parents = generate_parent_matrix(3, n, 0, reps)
+        got = rank_index_batch(parents, n)
+        for j in range(reps):
+            tree = _column_tree(parents, j)
+            for tag, measure in SWEEP_MEASURES.items():
+                report = compute_profile(tree, measure).report
+                assert got[tag][0][j] == report.root_rank, (tag, n, j)
+                assert got[tag][1][j] == report.center_index, (tag, n, j)
 
     def test_n_one_all_ones(self):
         parents = generate_parent_matrix(5, 1, 0, 6)

@@ -21,7 +21,7 @@ from rootrank.persistence import (
 )
 from rootrank.tree import RecursiveTree
 
-from conftest import adversarial_compact, compact_strategy
+from conftest import NEAR_PATH, adversarial_compact, compact_strategy
 
 
 def _replay_targets(horizon, seed, rep):
@@ -156,14 +156,8 @@ class TestAdversarialShapes:
     def test_every_step_matches_profile(self, compact):
         self._check_every_step(compact)
 
-    # A near-path tree: at m = 36 vertex 30 is at least as rumor-central as
-    # the root but lies in neither the betweenness cone nor the closeness
-    # ball, so only the rumor bound of the rank pass reaches it.
-    NEAR_PATH = (1, 2, 1, 4, 5, 6, 5, 7, 8, 8, 10, 12, 13, 14, 11, 15, 16, 16, 18, 18,
-                 20, 22, 22, 24, 23, 26, 27, 24, 27, 28, 30, 31, 31, 31, 33)
-
     def test_rumor_region_beyond_cone_and_ball(self):
-        tree = RecursiveTree(list(self.NEAR_PATH))
+        tree = RecursiveTree(list(NEAR_PATH))
         m, v = tree.n, 30
         sizes = subtree_sizes(tree)
         root_score = int((sizes[2:][tree.parent[2:] == 1] ** 2).sum())
@@ -171,7 +165,7 @@ class TestAdversarialShapes:
         closeness = closeness_scores(tree)
         assert closeness[v] > closeness[1]
         assert phi_sign(tree.parent.tolist(), sizes.tolist(), m, v, 1) <= 0
-        self._check_every_step(self.NEAR_PATH)
+        self._check_every_step(NEAR_PATH)
 
 
 class TestStrideSampling:
