@@ -7,12 +7,14 @@ looping the per-tree code is too slow in pure Python.  This module grows
 whole batches of trees at once: replicates are the columns of an
 ``(n + 1, rows)`` matrix stored column-major, so every tree is one
 contiguous column.  Columns are reduced in blocks of about 2^16 vertices.
-A block's subtree sizes come from :func:`rootrank.tree.subtree_sizes` on
-one merged tree, the block's columns hung from a common super-root, so
-the per-level numpy calls are shared by every tree of the block.  The
-centroid is one reduction over the block's sizes, and degree one
-``bincount`` per column.  The other root ranks, and the betweenness index,
-come from one walk down from the root per column,
+A block's subtree sizes come from one pass of pointer jumping over a
+merged tree, the block's columns hung from a common super-root: about
+``log2 h`` rounds for columns of height ``h``, each a few numpy calls
+shared by every tree of the block, with no level order.  The pass writes
+into a :class:`SizeWorkspace` that a chunk job builds once and reuses for
+every block.  The centroid is one reduction over the block's sizes, and
+degree one ``bincount`` per column.  The other root ranks, and the
+betweenness index, come from one walk down from the root per column,
 :func:`rootrank.walks.root_walk`.  It descends only into the small
 regions where a vertex can be as central as the root, so no score matrix
 is built.  The growth trajectories of :mod:`rootrank.persistence` apply
@@ -37,7 +39,7 @@ import numpy as np
 
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
-from .tree import RecursiveTree, parents_from_draws, subtree_sizes
+from .tree import parents_from_draws
 from .walks import root_walk
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "rank_index_batch",
     "max_root_fraction_batch",
     "rank_index_sweep_chunk",
+    "SizeWorkspace",
 ]
 
 # Replicates per chunk, the Pool job and output unit: at most this many
@@ -55,11 +58,12 @@ __all__ = [
 # bound the job's length, not its memory.
 _CHUNK_ELEMENT_BUDGET = 16_000_000
 _MAX_CHUNK_ROWS = 4096
-# Vertices per merged tree of a block: enough trees to share each level's
-# numpy calls, few enough for the block's sizes and levels to stay in
-# cache.  Five measures at n = 10^4 took 874, 777, 735, 747, 826 and 904
-# us per tree for 2^14 .. 2^18 and 2^20 (medians of 7 rounds, 2 cores,
-# numpy 2.4); at 10^3, 2^14 to 2^17 were within 3% and 2^20 19% slower.
+# Vertices per merged tree of a block: enough trees to share each numpy
+# call of the size pass, few enough for the block's arrays to stay in
+# cache.  A chunk job on all five measures took 472, 447, 435, 471 and
+# 540 us per tree at n = 10^4 (1599 columns) for 2^14 .. 2^18, and 100,
+# 93, 99, 102 and 105 us at 10^3 (4096 columns), generation included
+# (medians of 3 rounds, 2 cores, numpy 2.4).
 _BLOCK_VERTICES = 1 << 16
 
 
@@ -110,25 +114,60 @@ def _parent_blocks(master_seed: int, n: int, start: int, stop: int, stream_base:
         yield generate_parent_matrix(master_seed, n, lo, min(lo + width, stop), stream_base)
 
 
-def _blocks(parents: np.ndarray, n: int):
+class SizeWorkspace:
+    """Scratch arrays for the size pass over blocks of ``n``-vertex columns.
+
+    Four int64 arrays as long as one merged tree of a block, for a chunk
+    of ``columns`` replicates: the merged parents, the jumped pointers, the
+    sizes and the scatter target.  A chunk job builds one and passes it to
+    the reduction of each of its blocks, so no block allocates them again.
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self, n: int, columns: int):
+        length = min(columns, _block_width(n)) * (n + 1) + 2
+        self.arrays = np.empty((4, length), dtype=np.int64)
+
+
+def _blocks(parents: np.ndarray, n: int, workspace: SizeWorkspace | None = None):
     """Yield ``(lo, columns, sizes)`` per block of parent columns.
 
     Row ``i`` of ``columns`` and ``sizes``, both ``(k, n + 1)`` and
     C-contiguous, is column ``lo + i`` and its subtree sizes (slot 0 is
-    unused).  Sizes come from one merged recursive tree: label 1 is a
-    super-root, slot ``v`` of row ``i`` is label ``2 + i (n + 1) + v``,
-    slots 0 and 1 hang from label 1 and every other slot from its parent's
-    label, which stays the smaller one.
+    unused).  ``sizes`` is a view into ``workspace``, overwritten by the
+    next block.  Sizes come from one merged tree: label 1 is a super-root,
+    slot ``v`` of row ``i`` is label ``2 + i (n + 1) + v``, slots 0 and 1
+    hang from label 1 and every other slot from its parent's label.
+
+    After ``r`` rounds of pointer jumping ``anc[v]`` is the ancestor ``2^r``
+    edges above ``v`` (0 past the super-root) and ``size[v]`` counts the
+    descendants less than ``2^r`` edges below it, so each round adds the
+    sizes gathered at the jumped pointers.  Label 0 collects the vertices
+    whose pointer has passed the super-root; its sum is dropped.
     """
+    if workspace is None:
+        workspace = SizeWorkspace(n, parents.shape[1])
     width = _block_width(n)
     for lo in range(0, parents.shape[1], width):
         # a view for column-major chunks; one block copy for other layouts
         columns = np.asfortranarray(parents[:, lo : lo + width]).T
         k = columns.shape[0]
-        merged = columns + (2 + (n + 1) * np.arange(k))[:, None]
+        anc, jump, size, add = workspace.arrays[:, : k * (n + 1) + 2]
+        merged = anc[2:].reshape(k, n + 1)
+        np.add(columns, (2 + (n + 1) * np.arange(k))[:, None], out=merged)
         merged[:, :2] = 1
-        sizes = subtree_sizes(RecursiveTree(merged.ravel(), validate=False))
-        yield lo, columns, sizes[2:].reshape(k, n + 1)
+        anc[:2] = 0
+        size.fill(1)
+        while anc.any():
+            add.fill(0)
+            np.add.at(add, anc, size)
+            add[0] = 0
+            size += add
+            # clip mode writes straight into ``jump``; every index is in range
+            np.take(anc, anc, out=jump, mode="clip")
+            anc, jump = jump, anc
+        yield lo, columns, size[2:].reshape(k, n + 1)
 
 
 class _Children(dict):
@@ -144,14 +183,19 @@ class _Children(dict):
 
 
 def rank_index_batch(
-    parents: np.ndarray, n: int, measures: tuple[str, ...] = tuple(SWEEP_MEASURES)
+    parents: np.ndarray,
+    n: int,
+    measures: tuple[str, ...] = tuple(SWEEP_MEASURES),
+    workspace: SizeWorkspace | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Root rank and center index per replicate for each measure.
 
     ``parents`` is a matrix from ``generate_parent_matrix``.  Returns
     ``{tag: (root_rank, center_index)}`` with one int64 entry per column.
     Ranks are pessimistic: ties count against the root, and tied best
-    scores resolve to the largest label.
+    scores resolve to the largest label.  ``workspace``, a
+    :class:`SizeWorkspace` for ``n`` and at least as many columns, is
+    reused for the size pass; without one the call builds its own.
     """
     unknown = set(measures) - set(SWEEP_MEASURES)
     if unknown:
@@ -166,7 +210,7 @@ def rank_index_batch(
             rank["degree"][j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
             index["degree"][j] = n - np.argmax(degree[:0:-1])  # largest label on ties
     if set(measures) - {"degree"}:
-        for lo, columns, block_sizes in _blocks(parents, n):
+        for lo, columns, block_sizes in _blocks(parents, n, workspace):
             # Vertices with 2 s(v) >= n form a path from the root, and labels
             # grow along it, so its largest label is its last vertex: the
             # centroid, or the child of a tied centroid pair.  That is the
@@ -182,12 +226,17 @@ def rank_index_batch(
     return {tag: (rank[tag], index[tag]) for tag in measures}
 
 
-def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:
-    """Largest root-subtree fraction per replicate column."""
+def max_root_fraction_batch(
+    parents: np.ndarray, n: int, workspace: SizeWorkspace | None = None
+) -> np.ndarray:
+    """Largest root-subtree fraction per replicate column.
+
+    ``workspace`` is reused for the size pass as in :func:`rank_index_batch`.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     rooted = [np.where(columns[:, 2:] == 1, sizes[:, 2:], 0).max(axis=1)
-              for _, columns, sizes in _blocks(parents, n)]
+              for _, columns, sizes in _blocks(parents, n, workspace)]
     return np.concatenate(rooted) / float(n)
 
 
@@ -202,10 +251,11 @@ def rank_index_sweep_chunk(
     """Generate one chunk of replicates and reduce it to rank/index stats.
 
     Replicates are grown and reduced one block at a time, so the chunk's
-    whole parent matrix is never built; the result equals
-    ``rank_index_batch`` on that matrix.
+    whole parent matrix is never built, and every block's size pass reuses
+    one workspace; the result equals ``rank_index_batch`` on that matrix.
     """
-    parts = [rank_index_batch(parents, n, measures)
+    workspace = SizeWorkspace(n, stop - start)
+    parts = [rank_index_batch(parents, n, measures, workspace)
              for parents in _parent_blocks(master_seed, n, start, stop, stream_base)]
     return {
         tag: (

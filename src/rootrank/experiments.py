@@ -26,6 +26,7 @@ from . import persistence as _persistence
 from . import urns as _urns
 from .centrality import SWEEP_MEASURES
 from .engine import (
+    SizeWorkspace,
     _parent_blocks,
     chunk_rows,
     max_root_fraction_batch,
@@ -320,7 +321,8 @@ def run_rank_index_sweep(
 
 
 def _fraction_chunk_job(seed, n, start, stop, stream_base) -> np.ndarray:
-    return np.concatenate([max_root_fraction_batch(parents, n)
+    workspace = SizeWorkspace(n, stop - start)
+    return np.concatenate([max_root_fraction_batch(parents, n, workspace)
                            for parents in _parent_blocks(seed, n, start, stop, stream_base)])
 
 
