@@ -10,14 +10,14 @@ contiguous column.  Columns are reduced in blocks of about 2^16 vertices.
 A block's subtree sizes come from one pass of pointer jumping over a
 merged tree, the block's columns hung from a common super-root: about
 ``log2 h`` rounds for columns of height ``h``, each a few numpy calls
-shared by every tree of the block, with no level order.  The pass writes
-into a :class:`SizeWorkspace` that a chunk job builds once and reuses for
-every block.  The centroid is one reduction over the block's sizes, and
-degree one ``bincount`` per column.  The other root ranks, and the
-betweenness index, come from one walk down from the root per column,
-:func:`rootrank.walks.root_walk`.  It descends only into the small
-regions where a vertex can be as central as the root, so no score matrix
-is built.  The growth trajectories of :mod:`rootrank.persistence` apply
+shared by every tree of the block, with no level order.  The pass
+allocates its scratch arrays once per call and reuses them for every
+block of that call.  The centroid is one reduction over the block's
+sizes, and degree one ``bincount`` per column.  The other root ranks,
+and the betweenness index, come from one walk down from the root per
+column, :func:`rootrank.walks.root_walk`.  It descends only into the
+small regions where a vertex can be as central as the root, so no score
+matrix is built.  The growth trajectories of :mod:`rootrank.persistence` apply
 the same region rule to their horizon tree over all checkpoints at once;
 the tests hold both to ``compute_profile``.
 
@@ -49,7 +49,6 @@ __all__ = [
     "rank_index_batch",
     "max_root_fraction_batch",
     "rank_index_sweep_chunk",
-    "SizeWorkspace",
 ]
 
 # Replicates per chunk, the Pool job and output unit: at most this many
@@ -114,31 +113,16 @@ def _parent_blocks(master_seed: int, n: int, start: int, stop: int, stream_base:
         yield generate_parent_matrix(master_seed, n, lo, min(lo + width, stop), stream_base)
 
 
-class SizeWorkspace:
-    """Scratch arrays for the size pass over blocks of ``n``-vertex columns.
-
-    Four int64 arrays as long as one merged tree of a block, for a chunk
-    of ``columns`` replicates: the merged parents, the jumped pointers, the
-    sizes and the scatter target.  A chunk job builds one and passes it to
-    the reduction of each of its blocks, so no block allocates them again.
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self, n: int, columns: int):
-        length = min(columns, _block_width(n)) * (n + 1) + 2
-        self.arrays = np.empty((4, length), dtype=np.int64)
-
-
-def _blocks(parents: np.ndarray, n: int, workspace: SizeWorkspace | None = None):
+def _blocks(parents: np.ndarray, n: int):
     """Yield ``(lo, columns, sizes)`` per block of parent columns.
 
     Row ``i`` of ``columns`` and ``sizes``, both ``(k, n + 1)`` and
     C-contiguous, is column ``lo + i`` and its subtree sizes (slot 0 is
-    unused).  ``sizes`` is a view into ``workspace``, overwritten by the
-    next block.  Sizes come from one merged tree: label 1 is a super-root,
-    slot ``v`` of row ``i`` is label ``2 + i (n + 1) + v``, slots 0 and 1
-    hang from label 1 and every other slot from its parent's label.
+    unused).  ``sizes`` is a view into scratch arrays allocated once per
+    call, overwritten by the next block.  Sizes come from one merged tree:
+    label 1 is a super-root, slot ``v`` of row ``i`` is label
+    ``2 + i (n + 1) + v``, slots 0 and 1 hang from label 1 and every other
+    slot from its parent's label.
 
     After ``r`` rounds of pointer jumping ``anc[v]`` is the ancestor ``2^r``
     edges above ``v`` (0 past the super-root) and ``size[v]`` counts the
@@ -146,14 +130,14 @@ def _blocks(parents: np.ndarray, n: int, workspace: SizeWorkspace | None = None)
     sizes gathered at the jumped pointers.  Label 0 collects the vertices
     whose pointer has passed the super-root; its sum is dropped.
     """
-    if workspace is None:
-        workspace = SizeWorkspace(n, parents.shape[1])
     width = _block_width(n)
+    # merged parents, jumped pointers, sizes and the scatter target
+    scratch = np.empty((4, min(parents.shape[1], width) * (n + 1) + 2), dtype=np.int64)
     for lo in range(0, parents.shape[1], width):
         # a view for column-major chunks; one block copy for other layouts
         columns = np.asfortranarray(parents[:, lo : lo + width]).T
         k = columns.shape[0]
-        anc, jump, size, add = workspace.arrays[:, : k * (n + 1) + 2]
+        anc, jump, size, add = scratch[:, : k * (n + 1) + 2]
         merged = anc[2:].reshape(k, n + 1)
         np.add(columns, (2 + (n + 1) * np.arange(k))[:, None], out=merged)
         merged[:, :2] = 1
@@ -186,16 +170,13 @@ def rank_index_batch(
     parents: np.ndarray,
     n: int,
     measures: tuple[str, ...] = tuple(SWEEP_MEASURES),
-    workspace: SizeWorkspace | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Root rank and center index per replicate for each measure.
 
     ``parents`` is a matrix from ``generate_parent_matrix``.  Returns
     ``{tag: (root_rank, center_index)}`` with one int64 entry per column.
     Ranks are pessimistic: ties count against the root, and tied best
-    scores resolve to the largest label.  ``workspace``, a
-    :class:`SizeWorkspace` for ``n`` and at least as many columns, is
-    reused for the size pass; without one the call builds its own.
+    scores resolve to the largest label.
     """
     unknown = set(measures) - set(SWEEP_MEASURES)
     if unknown:
@@ -210,7 +191,7 @@ def rank_index_batch(
             rank["degree"][j] = np.count_nonzero(degree[1:] >= degree[1])  # ties against the root
             index["degree"][j] = n - np.argmax(degree[:0:-1])  # largest label on ties
     if set(measures) - {"degree"}:
-        for lo, columns, block_sizes in _blocks(parents, n, workspace):
+        for lo, columns, block_sizes in _blocks(parents, n):
             # Vertices with 2 s(v) >= n form a path from the root, and labels
             # grow along it, so its largest label is its last vertex: the
             # centroid, or the child of a tied centroid pair.  That is the
@@ -226,18 +207,19 @@ def rank_index_batch(
     return {tag: (rank[tag], index[tag]) for tag in measures}
 
 
-def max_root_fraction_batch(
-    parents: np.ndarray, n: int, workspace: SizeWorkspace | None = None
-) -> np.ndarray:
-    """Largest root-subtree fraction per replicate column.
-
-    ``workspace`` is reused for the size pass as in :func:`rank_index_batch`.
-    """
+def max_root_fraction_batch(parents: np.ndarray, n: int) -> np.ndarray:
+    """Largest root-subtree fraction per replicate column."""
     if n < 2:
         raise ValueError("need n >= 2")
     rooted = [np.where(columns[:, 2:] == 1, sizes[:, 2:], 0).max(axis=1)
-              for _, columns, sizes in _blocks(parents, n, workspace)]
+              for _, columns, sizes in _blocks(parents, n)]
     return np.concatenate(rooted) / float(n)
+
+
+def _concat_stats(parts: list[dict]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Join ``{tag: (rank, index)}`` results of consecutive replicates, in order."""
+    return {tag: tuple(np.concatenate(arrays) for arrays in zip(*(part[tag] for part in parts)))
+            for tag in parts[0]}
 
 
 def rank_index_sweep_chunk(
@@ -251,16 +233,8 @@ def rank_index_sweep_chunk(
     """Generate one chunk of replicates and reduce it to rank/index stats.
 
     Replicates are grown and reduced one block at a time, so the chunk's
-    whole parent matrix is never built, and every block's size pass reuses
-    one workspace; the result equals ``rank_index_batch`` on that matrix.
+    whole parent matrix is never built; the result equals
+    ``rank_index_batch`` on that matrix.
     """
-    workspace = SizeWorkspace(n, stop - start)
-    parts = [rank_index_batch(parents, n, measures, workspace)
-             for parents in _parent_blocks(master_seed, n, start, stop, stream_base)]
-    return {
-        tag: (
-            np.concatenate([part[tag][0] for part in parts]),
-            np.concatenate([part[tag][1] for part in parts]),
-        )
-        for tag in measures
-    }
+    return _concat_stats([rank_index_batch(parents, n, measures)
+                          for parents in _parent_blocks(master_seed, n, start, stop, stream_base)])

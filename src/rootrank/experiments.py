@@ -26,7 +26,7 @@ from . import persistence as _persistence
 from . import urns as _urns
 from .centrality import SWEEP_MEASURES
 from .engine import (
-    SizeWorkspace,
+    _concat_stats,
     _parent_blocks,
     chunk_rows,
     max_root_fraction_batch,
@@ -310,19 +310,11 @@ def run_rank_index_sweep(
         (seed, n, start, stop, tuple(measures), stream_base)
         for start, stop in replicate_chunks(reps, rows)
     ]
-    chunks = _map_jobs(_rank_chunk_job, jobs, workers)
-    return {
-        tag: (
-            np.concatenate([stats[tag][0] for stats in chunks]),
-            np.concatenate([stats[tag][1] for stats in chunks]),
-        )
-        for tag in measures
-    }
+    return _concat_stats(_map_jobs(_rank_chunk_job, jobs, workers))
 
 
 def _fraction_chunk_job(seed, n, start, stop, stream_base) -> np.ndarray:
-    workspace = SizeWorkspace(n, stop - start)
-    return np.concatenate([max_root_fraction_batch(parents, n, workspace)
+    return np.concatenate([max_root_fraction_batch(parents, n)
                            for parents in _parent_blocks(seed, n, start, stop, stream_base)])
 
 
@@ -392,7 +384,7 @@ def _tree_records(config: ExperimentConfig) -> list[ResultRecord]:
                     )
                 if n > 1:
                     med = float(np.median(index))
-                    ratio = math.log(med) / math.log(n) if med >= 1 else 0.0
+                    ratio = math.log(med) / math.log(n)
                     records.append(
                         ResultRecord(
                             tag, n, "median_log_index_over_log_n", "",

@@ -286,37 +286,20 @@ class TestSizePass:
             assert row[1:].tolist() == subtree_sizes(tree)[1:].tolist(), lo + i
         return columns.shape[0]
 
-    @pytest.mark.parametrize("n, rows", [(1, 5), (2, 7), (500, 300), (3000, 25), (70_000, 3)])
+    # (400, 166) is one full block of 163 columns, then a ragged block of 3
+    # that reuses the call's scratch arrays
+    @pytest.mark.parametrize("n, rows", [(1, 5), (2, 7), (500, 300), (3000, 25), (70_000, 3),
+                                         (400, 166)])
     def test_matches_subtree_sizes(self, n, rows):
-        # uniform columns over several blocks, the last one ragged, with a
-        # path (height n - 1, about log2 n rounds) first and a star last
+        # uniform columns over several blocks, the last one ragged, with paths
+        # (height n - 1, about log2 n rounds) first and second to last, so
+        # the ragged block has one, and a star last
         parents = generate_parent_matrix(59, n, 0, rows)
         if n > 2:
-            parents[2:, 0] = np.arange(1, n)
+            parents[2:, [0, rows - 2]] = np.arange(1, n)[:, None]
             parents[2:, rows - 1] = 1
         seen = sum(self._check_block(parents, n, block) for block in engine._blocks(parents, n))
         assert seen == rows
-
-    def test_shorter_block_reads_no_stale_slots(self):
-        # A full block, then a ragged one through the same workspace, with
-        # every slot overwritten in between by an index valid only in the
-        # full block's length.
-        n = 400
-        width = engine._block_width(n)
-        parents = generate_parent_matrix(61, n, 0, width + 3)
-        parents[2:, width + 1] = np.arange(1, n)
-        workspace = engine.SizeWorkspace(n, width + 3)
-        blocks = engine._blocks(parents, n, workspace)
-        assert self._check_block(parents, n, next(blocks)) == width
-        poison = workspace.arrays.shape[1] - 1
-        workspace.arrays.fill(poison)
-        assert self._check_block(parents, n, next(blocks)) == 3
-        assert (workspace.arrays[:, 3 * (n + 1) + 2 :] == poison).all()
-        short = parents[:, width:]
-        for tag, (rank, index) in rank_index_batch(short, n).items():
-            reused = rank_index_batch(short, n, workspace=workspace)[tag]
-            assert reused[0].tolist() == rank.tolist(), tag
-            assert reused[1].tolist() == index.tolist(), tag
 
 
 @pytest.mark.parametrize("reduce", [rank_index_batch, max_root_fraction_batch],
@@ -388,23 +371,6 @@ class TestStreamedChunks:
         blocks = -(-(stop - start) // width)
         assert blocks >= 3 and len(generated) == len(ranked) == blocks
         assert np.hstack(ranked).tolist() == generate(47, n, start, stop, base).tolist()
-
-    @pytest.mark.parametrize("job", [rank_index_sweep_chunk, _fraction_chunk_job],
-                             ids=lambda f: f.__name__)
-    def test_one_workspace_per_job(self, monkeypatch, job):
-        # every block of a chunk reuses the job's one size-pass workspace
-        n, start, stop, base = 3000, 10, 60, 90
-        assert -(-(stop - start) // engine._block_width(n)) >= 3
-        built = []
-        init = engine.SizeWorkspace.__init__
-
-        def counting_init(self, *args):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(engine.SizeWorkspace, "__init__", counting_init)
-        job(47, n, start, stop, stream_base=base)
-        assert built == [(n, stop - start)]
 
     @pytest.mark.parametrize("job", [rank_index_sweep_chunk, _fraction_chunk_job],
                              ids=lambda f: f.__name__)
