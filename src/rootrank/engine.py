@@ -17,9 +17,11 @@ sizes, and degree one ``bincount`` per column.  The other root ranks,
 and the betweenness index, come from one walk down from the root per
 column, :func:`rootrank.walks.root_walk`.  It descends only into the
 small regions where a vertex can be as central as the root, so no score
-matrix is built.  The growth trajectories of :mod:`rootrank.persistence` apply
-the same region rule to their horizon tree over all checkpoints at once;
-the tests hold both to ``compute_profile``.
+matrix is built.  The walk finds a vertex's children by scanning the
+column, and a column whose walk runs long indexes its children once and
+slices that index.  The growth trajectories of :mod:`rootrank.persistence`
+apply the same region rule to their horizon tree over all checkpoints at
+once; the tests hold both to ``compute_profile``.
 
 A sweep is split into chunks of replicates.  A chunk is the unit of
 parallel dispatch and of output grouping, not of memory: a chunk job
@@ -29,6 +31,8 @@ more than one block's parent matrix, whatever the chunk's length.
 Replicate ``i`` of a sweep uses the Philox stream ``stream_base + i`` and
 draws exactly the same uniforms as ``grow_urrt`` would on that stream, so
 batched results are reproducible tree-by-tree against the scalar path.
+A block reads its streams through ``rng.stream_uniforms``, one bit
+generator re-keyed per column, and maps each column's draws in place.
 Chunk boundaries depend only on ``n`` and the replicate count, never on
 worker count, which keeps sweep output invariant under parallel dispatch.
 """
@@ -38,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
-from .rng import RngStream
+from .rng import stream_uniforms
 from .tree import parents_from_draws
 from .walks import root_walk
 
@@ -87,13 +91,12 @@ def generate_parent_matrix(
     Column ``j`` holds the tree for replicate ``start + j`` drawn from
     stream ``stream_base + start + j``; entries ``[2:, j]`` are parents,
     rows 0 and 1 are zero padding.  Draws match ``grow_urrt`` exactly.
-    The matrix is column-major, so each column is contiguous.
+    The matrix is column-major, so each column is contiguous.  Beside it the
+    call holds only a few arrays of one column's length.
     """
-    rows = stop - start
-    parents = np.zeros((n + 1, rows), dtype=np.int64, order="F")
-    for j in range(rows):
-        gen = RngStream(master_seed, stream_base + start + j).generator()
-        parents[2:, j] = parents_from_draws(gen.random(n - 1))
+    parents = np.zeros((n + 1, stop - start), dtype=np.int64, order="F")
+    ids = range(stream_base + start, stream_base + stop)
+    parents_from_draws(stream_uniforms(master_seed, ids, n - 1), out=parents[2:])
     return parents
 
 
@@ -126,43 +129,84 @@ def _blocks(parents: np.ndarray, n: int):
 
     After ``r`` rounds of pointer jumping ``anc[v]`` is the ancestor ``2^r``
     edges above ``v`` (0 past the super-root) and ``size[v]`` counts the
-    descendants less than ``2^r`` edges below it, so each round adds the
-    sizes gathered at the jumped pointers.  Label 0 collects the vertices
-    whose pointer has passed the super-root; its sum is dropped.
+    descendants less than ``2^r`` edges below it, so each round copies the
+    sizes and adds each one in at its jumped pointer.  Label 0 collects the
+    vertices whose pointer has passed the super-root; its sum is never
+    read.  Columns with a cycle raise ``ValueError``.
     """
     width = _block_width(n)
-    # merged parents, jumped pointers, sizes and the scatter target
+    # merged parents and jumped pointers, sizes before and after a round
     scratch = np.empty((4, min(parents.shape[1], width) * (n + 1) + 2), dtype=np.int64)
     for lo in range(0, parents.shape[1], width):
         # a view for column-major chunks; one block copy for other layouts
         columns = np.asfortranarray(parents[:, lo : lo + width]).T
         k = columns.shape[0]
-        anc, jump, size, add = scratch[:, : k * (n + 1) + 2]
+        anc, jump, size, nxt = scratch[:, : k * (n + 1) + 2]
         merged = anc[2:].reshape(k, n + 1)
         np.add(columns, (2 + (n + 1) * np.arange(k))[:, None], out=merged)
         merged[:, :2] = 1
         anc[:2] = 0
         size.fill(1)
+        # every label is within anc.size edges of label 0, so its pointer
+        # gets there in anc.size.bit_length() rounds; one more means a cycle
+        rounds = anc.size.bit_length()
         while anc.any():
-            add.fill(0)
-            np.add.at(add, anc, size)
-            add[0] = 0
-            size += add
+            if not rounds:
+                raise ValueError("parent columns must be trees: a cycle never reaches the root")
+            rounds -= 1
+            np.copyto(nxt, size)
+            np.add.at(nxt, anc, size)
+            size, nxt = nxt, size
             # clip mode writes straight into ``jump``; every index is in range
             np.take(anc, anc, out=jump, mode="clip")
             anc, jump = jump, anc
         yield lo, columns, size[2:].reshape(k, n + 1)
 
 
+# Full-column scans a walk makes in one column before it indexes the
+# column's children by a stable sort on the parent labels; after that every
+# lookup is a slice.  Scanning once for each vertex a walk visits is cheap
+# for most walks, which look up 3 vertices in the median, but a root with
+# one child makes the walk visit all n vertices.  Per column (2 cores,
+# numpy 2.4), a scan took 1.5, 3.9 and 27 us at n = 10^3, 10^4 and 10^5,
+# and the index 18, 90 and 10,500 us: uint16 keys, which numpy sorts by
+# radix, while n + 1 <= 2^16, int64 keys above.  Each limit is near what
+# the index costs in scans, so a walk pays at most about twice the cheaper
+# of the two ways.
+_SCANS = 16
+_WIDE_SCANS = 256
+
+
 class _Children(dict):
-    """Children of each vertex of one parent column, found on first use."""
+    """Children of each vertex of one parent column, found on first use.
+
+    The first lookups scan the column, and later ones slice an index that
+    the column builds once.  Either way a vertex's children come in
+    ascending order.
+    """
 
     def __init__(self, column: np.ndarray):
         super().__init__()
         self.column = column
+        self.narrow = column.size <= 1 << 16
+        self.scans = _SCANS if self.narrow else _WIDE_SCANS
+        self.order = self.bounds = None
+
+    def scan(self, v: int) -> list[int]:
+        return (self.column == v).nonzero()[0].tolist()
 
     def __missing__(self, v: int) -> list[int]:
-        kids = self[v] = (self.column == v).nonzero()[0].tolist()
+        if self.scans:
+            self.scans -= 1
+            kids = self.scan(v)
+        else:
+            if self.order is None:
+                key = self.column.astype(np.uint16) if self.narrow else self.column
+                self.order = np.argsort(key, kind="stable")
+                self.bounds = np.zeros(key.size + 1, dtype=np.int64)
+                np.cumsum(np.bincount(key, minlength=key.size), out=self.bounds[1:])
+            kids = self.order[self.bounds[v] : self.bounds[v + 1]].tolist()
+        self[v] = kids
         return kids
 
 

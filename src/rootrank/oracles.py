@@ -6,15 +6,17 @@ no shared code with the linear-time scorers, so agreement between the
 two routes is meaningful.  Guarded to n <= 2000; these are quadratic or
 worse on purpose.
 
-``exact_degree_root_probability`` is the one distributional reference:
-the exact degree P(R_n = 1) of a URRT, from a recursion over tree sizes
-rather than from sampled trees, for any n.
+The distributional references are exact values for a URRT on n vertices,
+derived rather than sampled, for any n: the degree P(R_n = 1), from a
+recursion over tree sizes, and two closed forms from the law of the root
+subtrees, the centroid's P(I_n = 1) and the mean jordan root rank.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
 import numpy as np
@@ -429,3 +431,43 @@ def exact_degree_root_probability(n: int) -> float:
             )[: n - 2] / x
             total += float(np.dot(hm, e[n - 3 :: -1])) / (n - 1)
     return total
+
+
+# -- closed forms from the root-subtree law -----------------------------------
+#
+# The root subtree sizes of a URRT on n vertices are the cycle lengths of a
+# uniform permutation of n - 1 items, so the expected number of root
+# subtrees of size B is 1/B, and given its size each is a URRT.  Two root
+# subtrees cannot both have 2B >= n, as their sizes sum to at most n - 1.
+
+
+def _harmonic_sum(lo: int, hi: int) -> Fraction:
+    """sum_{B=lo}^{hi-1} 1/B as an exact fraction (0 for an empty range)."""
+    return sum((Fraction(1, b) for b in range(lo, hi)), Fraction(0))
+
+
+def exact_centroid_root_probability(n: int) -> Fraction:
+    """Q_n = P(I_n = 1) = 1 - sum_{B=ceil(n/2)}^{n-1} 1/B, exactly.
+
+    The centroid is the root exactly when no root subtree has 2B >= n, and
+    at most one does, so the sum is the chance that one does.  The root is
+    then the unique best vertex for jordan, closeness and rumor, so this is
+    also their P(R_n = 1).  Exact fractions cost about 50 ms at n = 10^4.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return 1 - _harmonic_sum((n + 1) // 2, n)
+
+
+def exact_jordan_mean_root_rank(n: int) -> Fraction:
+    """E[R^J_n] = 1 + H_{floor(n/2)}, the mean jordan root rank, exactly.
+
+    With M the largest root subtree, a vertex v other than the root is as
+    central as the root exactly when s(v) >= n - M, which only vertices of
+    that subtree reach, and only when 2M >= n.  A URRT on B vertices has
+    on average B/t vertices of size at least t, so summing over the root
+    subtree sizes B >= n/2 gives 1 + sum_B (1/B) B/(n - B) = 1 + H_{floor(n/2)}.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return 1 + _harmonic_sum(1, n // 2 + 1)

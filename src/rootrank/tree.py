@@ -142,14 +142,28 @@ class RecursiveTree:
         return cached
 
 
-def parents_from_draws(u: np.ndarray) -> np.ndarray:
-    """Parents of vertices 2..len(u)+1 from uniforms: 1 + floor(u[v-2] * (v - 1)).
+def parents_from_draws(draws, out: np.ndarray | None = None) -> np.ndarray:
+    """Parents of vertices 2..m+1 from uniforms: 1 + floor(u[v-2] * (v - 1)).
+
+    ``draws`` is one array ``u`` of m uniforms, giving a new array of m
+    parents, or an iterable of such arrays, one per column of ``out``, an
+    ``(m, k)`` int64 array that receives the parents.  Each ``u`` is scaled
+    in place, so a column costs no temporary arrays.
 
     Every generator in the package maps its draws through this one
     function, so a tree, a sweep column and a trajectory grown from the
     same stream are the same tree.
     """
-    return 1 + (u * np.arange(1, u.size + 1, dtype=np.float64)).astype(np.int64)
+    if out is None:
+        return parents_from_draws([draws], np.empty((draws.size, 1), dtype=np.int64))[:, 0]
+    steps = np.arange(1, out.shape[0] + 1, dtype=np.float64)
+    # out's columns first: zip stops there without asking draws for one more
+    for column, u in zip(out.T, draws):
+        np.multiply(u, steps, out=u)
+        # every product is nonnegative, so the cast's truncation is the floor
+        np.copyto(column, u, casting="unsafe")
+        column += 1
+    return out
 
 
 def grow_urrt(n: int, rng: np.random.Generator | RngStream) -> RecursiveTree:

@@ -29,6 +29,7 @@ from rootrank.engine import (
     replicate_chunks,
 )
 from rootrank.experiments import _fraction_chunk_job
+from rootrank.rng import stream_uniforms
 from rootrank.tree import RecursiveTree, subtree_sizes
 
 from conftest import NEAR_PATH, adversarial_compact, children_lists, compact_strategy
@@ -59,6 +60,34 @@ class TestGeneration:
         parents = generate_parent_matrix(4, 30, 0, 5)
         assert parents.flags.f_contiguous
         assert parents[:, 2].flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5, 1000])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_stream_uniforms_match_generators(self, seed, k):
+        # k = 1, 3 and 5 leave the 4-word Philox buffer part used, so each
+        # stream must start from an empty buffer, as a new generator does
+        ids = [0, 1, 2**64 - 1]
+        rows = [u.copy() for u in stream_uniforms(seed, ids, k)]
+        assert len(rows) == len(ids)
+        for i, row in zip(ids, rows):
+            assert row.tolist() == RngStream(seed, i).generator().random(k).tolist(), i
+
+    @pytest.mark.parametrize("seed, ids", [(0, [5, 2**64]), (0, [-1]), (2**64, [0])])
+    def test_stream_uniforms_reject_wide_ids(self, seed, ids):
+        with pytest.raises(ValueError, match="64 bits"):
+            list(stream_uniforms(seed, ids, 3))
+
+    def test_generation_holds_no_float_matrix(self):
+        # Draws are made and mapped one column at a time, so the peak is the
+        # returned matrix plus a few column-sized arrays.
+        n, rows = 2000, 300
+        tracemalloc.start()
+        try:
+            parents = generate_parent_matrix(8, n, 0, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < parents.nbytes + 3 * 8 * n, (peak, parents.nbytes)
 
 
 class TestChunking:
@@ -275,6 +304,54 @@ class TestBlocks:
         self._check(parents, n, trees)
 
 
+class TestChildIndex:
+    """Long walks look children up in an index, not by scanning the column.
+
+    Each column scans at most a fixed number of times, and the ranks from
+    the index equal ``compute_profile``.
+    """
+
+    @staticmethod
+    def _one_child_root(n, seed):
+        # vertex 2, the root's only child, roots a URRT on n - 1 vertices,
+        # so the walk visits every vertex
+        below = grow_urrt(n - 1, RngStream(seed, 0)).parent[2:]
+        return RecursiveTree([1] + (below + 1).tolist())
+
+    @pytest.mark.parametrize("shape, n", [("one-child root", 10_000), ("broom", 3000),
+                                          ("one-child root", 70_000)])
+    def test_long_walks_match_compute_profile(self, monkeypatch, shape, n):
+        if shape == "broom":
+            tree = RecursiveTree([min(v - 1, 1000) for v in range(2, n + 1)])
+        else:
+            tree = self._one_child_root(n, 61)
+        parents = generate_parent_matrix(61, n, 0, 2)
+        parents[:, 0] = tree.parent
+        made = []
+
+        class Counting(engine._Children):
+            def __init__(self, column):
+                super().__init__(column)
+                self.scanned = 0
+                made.append(self)
+
+            def scan(self, v):
+                self.scanned += 1
+                return super().scan(v)
+
+        monkeypatch.setattr(engine, "_Children", Counting)
+        got = rank_index_batch(parents, n)
+        limit = engine._SCANS if n + 1 <= 2**16 else engine._WIDE_SCANS
+        assert len(made) == 2
+        assert all(kids.scanned <= limit for kids in made), [k.scanned for k in made]
+        assert len(made[0]) > limit  # the long walk read the index
+        for j, column_tree in ((0, tree), (1, _column_tree(parents, 1))):
+            for tag, measure in SWEEP_MEASURES.items():
+                report = compute_profile(column_tree, measure).report
+                assert got[tag][0][j] == report.root_rank, (tag, j)
+                assert got[tag][1][j] == report.center_index, (tag, j)
+
+
 class TestSizePass:
     """The engine's pointer-jumping size pass equals ``subtree_sizes`` per column."""
 
@@ -300,6 +377,29 @@ class TestSizePass:
             parents[2:, rows - 1] = 1
         seen = sum(self._check_block(parents, n, block) for block in engine._blocks(parents, n))
         assert seen == rows
+
+    @pytest.mark.parametrize("n, rows", [(1, 5), (2, 7), (400, 166)])
+    def test_scratch_garbage_is_never_read(self, monkeypatch, n, rows):
+        # np.empty may return any bytes: with nonzero ones in the scratch, a
+        # slot the pass reads before it sets it shows on every allocator
+        parents = generate_parent_matrix(67, n, 0, rows)
+        empty = np.empty
+
+        def garbage(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(3)
+            return out
+
+        monkeypatch.setattr(np, "empty", garbage)
+        seen = sum(self._check_block(parents, n, block) for block in engine._blocks(parents, n))
+        assert seen == rows
+
+    def test_cycle_is_rejected(self):
+        # 2 -> 3 -> 4 -> 2 never reaches the root; the pass stops and says so
+        parents = np.zeros((5, 1), dtype=np.int64)
+        parents[2:, 0] = [3, 4, 2]
+        with pytest.raises(ValueError, match="cycle"):
+            list(engine._blocks(parents, 4))
 
 
 @pytest.mark.parametrize("reduce", [rank_index_batch, max_root_fraction_batch],

@@ -1,9 +1,12 @@
-"""Exact degree root probability against enumeration and a plain recursion.
+"""Exact distributional references against enumeration and a plain recursion.
 
 P(R_n = 1) for degree is the chance that the root's degree strictly beats
 every other vertex's.  The recursion in exact_degree_root_probability is
 checked exactly against a count over all recursive trees for n <= 8, and
-against the same recursion written as a direct loop for larger n.
+against the same recursion written as a direct loop for larger n.  The
+closed forms for the centroid's P(I_n = 1) and the mean jordan root rank
+are checked in exact fractions against the oracle jordan scorer on every
+recursive tree with n <= 8.
 """
 
 from fractions import Fraction
@@ -11,7 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rootrank.oracles import exact_degree_root_probability, oracle_degree
+from rootrank.oracles import (
+    exact_centroid_root_probability,
+    exact_degree_root_probability,
+    exact_jordan_mean_root_rank,
+    oracle_degree,
+    oracle_jordan,
+    oracle_rank,
+)
 from rootrank.tree import enumerate_recursive_trees
 
 # P(R_n = 1) for n = 2..8 by full enumeration
@@ -78,3 +88,22 @@ def test_reference_values():
 def test_rejects_empty_tree():
     with pytest.raises(ValueError):
         exact_degree_root_probability(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jordan_closed_forms_match_enumeration(n):
+    centroid_at_root = rank_sum = trees = 0
+    for tree in enumerate_recursive_trees(n):
+        rank = oracle_rank(oracle_jordan(tree), larger_is_central=False)
+        centroid_at_root += rank.index(1) == 1  # ties rank the largest label first
+        rank_sum += rank[1]
+        trees += 1
+    assert exact_centroid_root_probability(n) == Fraction(centroid_at_root, trees)
+    assert exact_jordan_mean_root_rank(n) == Fraction(rank_sum, trees)
+
+
+@pytest.mark.parametrize("closed_form", [exact_centroid_root_probability,
+                                         exact_jordan_mean_root_rank])
+def test_closed_forms_reject_empty_tree(closed_form):
+    with pytest.raises(ValueError):
+        closed_form(0)
