@@ -20,11 +20,9 @@ do not depend on visiting order are single numpy calls over the parent
 and size arrays: jordan's largest child (``np.maximum.at``), the
 betweenness power sums (``np.add.at``), degree (``np.bincount``) and the
 root's total distance (the sum of sizes[2:]).  The passes that do depend
-on it, the bottom-up sizes and the root-down rerooting sums of closeness
-and rumor (``_root_down``), take one numpy call per level of the tree's
-cached level order.  Each vertex's score there is one addition of its
-parent's finished score and its own gain, the rounding that
-``rumor_band`` bounds.
+on it are ``tree``'s: the bottom-up sizes (``subtree_sizes``) and the
+root-down rerooting sums of closeness and rumor (``root_down``), whose
+per-edge rounding ``rumor_band`` bounds.
 
 Ties are always broken pessimistically: among equally central vertices
 the one inserted later (larger label) ranks first.  ``_rank_exact`` gets
@@ -44,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree import Levels, RecursiveTree, subtree_sizes
+from .tree import RecursiveTree, root_down, subtree_sizes
 
 
 class ScoreOverflowError(OverflowError):
@@ -174,24 +172,7 @@ def closeness_scores(
     _check_closeness_int64(n)
     sizes = _sizes_or(tree, sizes)
     root = int(sizes[2:].sum())
-    return _root_down(tree.parent, root, n - 2 * sizes, tree.levels)
-
-
-def _root_down(
-    parent: np.ndarray, first: int | float, gain: np.ndarray, levels: Levels
-) -> np.ndarray:
-    """``out[1] = first`` and ``out[v] = out[parent[v]] + gain[v]`` for v >= 2.
-
-    One numpy call per level, root first, so every parent is finished
-    before its children read it.  The result has ``gain``'s dtype and
-    slot 0 is 0.
-    """
-    out = np.zeros(parent.size, dtype=gain.dtype)
-    out[1] = first
-    for d in range(1, levels.height + 1):
-        idx = levels.level(d)
-        out[idx] = out[parent[idx]] + gain[idx]
-    return out
+    return root_down(tree, root, n - 2 * sizes)
 
 
 # Float64 log is within 1 ulp (NumPy's accuracy tests hold np.log to that;
@@ -242,9 +223,6 @@ def rumor_band(n: int, height: int) -> float:
     6e-12.  The bound holds for sums along any paths of at most
     ``height`` edges from one start vertex, and no path in a tree has
     more than n - 1 edges, so ``height = n - 1`` is sound for any shape.
-    ``_root_down`` runs the sums level by level, each score one rounded
-    addition of its parent's finished score and its own gain: the
-    per-edge rounding counted here.
     """
     if n < 2 or height < 1:
         return 0.0
@@ -280,7 +258,7 @@ def rumor_scores(
     """Log rumor scores plus the exact comparison handle.
 
     log phi(root) = sum over v != root of log size(v); rerooting adds
-    log(n - size) - log(size) along each edge.  ``_root_down`` sums those
+    log(n - size) - log(size) along each edge.  ``root_down`` sums those
     gains from the root; the comparator keeps the root-relative sums and
     the height of the tree's cached levels.
     """
@@ -292,7 +270,7 @@ def rumor_scores(
         logs = np.log(sizes[2:].astype(np.float64))
         gain[2:] = np.log((n - sizes[2:]).astype(np.float64)) - logs
         root_score = float(np.sum(logs))
-    rel = _root_down(tree.parent, 0.0, gain, tree.levels)
+    rel = root_down(tree, 0.0, gain)
     out = rel + root_score
     out[0] = 0.0
     return out, RumorComparator(tree, sizes, rel, tree.levels.height)

@@ -18,8 +18,8 @@ and the betweenness index, come from one walk down from the root per
 column, :func:`rootrank.walks.root_walk`.  It descends only into the
 small regions where a vertex can be as central as the root, so no score
 matrix is built.  The walk finds a vertex's children by scanning the
-column, and a column whose walk runs long indexes its children once and
-slices that index.  The growth trajectories of :mod:`rootrank.persistence`
+column, and a column whose walk runs long groups its children once by
+``tree.group_by`` and slices that.  The growth trajectories of :mod:`rootrank.persistence`
 apply the same region rule to their horizon tree over all checkpoints at
 once; the tests hold both to ``compute_profile``.
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import stream_uniforms
-from .tree import parents_from_draws
+from .tree import group_by, parents_from_draws
 from .walks import root_walk
 
 __all__ = [
@@ -164,17 +164,14 @@ def _blocks(parents: np.ndarray, n: int):
 
 
 # Full-column scans a walk makes in one column before it indexes the
-# column's children by a stable sort on the parent labels; after that every
-# lookup is a slice.  Scanning once for each vertex a walk visits is cheap
-# for most walks, which look up 3 vertices in the median, but a root with
-# one child makes the walk visit all n vertices.  Per column (2 cores,
-# numpy 2.4), a scan took 1.5, 3.9 and 27 us at n = 10^3, 10^4 and 10^5,
-# and the index 18, 90 and 10,500 us: uint16 keys, which numpy sorts by
-# radix, while n + 1 <= 2^16, int64 keys above.  Each limit is near what
-# the index costs in scans, so a walk pays at most about twice the cheaper
-# of the two ways.
+# column's children with ``group_by``, after which every lookup is a slice.
+# Most walks look up 3 vertices in the median, but a root with one child
+# makes the walk visit all n.  Per column (2 cores, numpy 2.4), a scan took
+# 1.5 to 5 us at n = 10^3 and 10^4 and 17 to 46 us at 7*10^4 and 10^5, the
+# index 16 to 120 us and 1.8 to 2.9 ms.  Each limit is near what the index
+# costs in scans, so a walk pays at most about twice the cheaper way.
 _SCANS = 16
-_WIDE_SCANS = 256
+_WIDE_SCANS = 64
 
 
 class _Children(dict):
@@ -188,8 +185,7 @@ class _Children(dict):
     def __init__(self, column: np.ndarray):
         super().__init__()
         self.column = column
-        self.narrow = column.size <= 1 << 16
-        self.scans = _SCANS if self.narrow else _WIDE_SCANS
+        self.scans = _SCANS if column.size <= 1 << 16 else _WIDE_SCANS
         self.order = self.bounds = None
 
     def scan(self, v: int) -> list[int]:
@@ -201,10 +197,7 @@ class _Children(dict):
             kids = self.scan(v)
         else:
             if self.order is None:
-                key = self.column.astype(np.uint16) if self.narrow else self.column
-                self.order = np.argsort(key, kind="stable")
-                self.bounds = np.zeros(key.size + 1, dtype=np.int64)
-                np.cumsum(np.bincount(key, minlength=key.size), out=self.bounds[1:])
+                self.order, self.bounds = group_by(self.column, self.column.size)
             kids = self.order[self.bounds[v] : self.bounds[v + 1]].tolist()
         self[v] = kids
         return kids

@@ -8,8 +8,9 @@ worse on purpose.
 
 The distributional references are exact values for a URRT on n vertices,
 derived rather than sampled, for any n: the degree P(R_n = 1), from a
-recursion over tree sizes, and two closed forms from the law of the root
-subtrees, the centroid's P(I_n = 1) and the mean jordan root rank.
+recursion over tree sizes, and three closed forms from the law of the
+root subtrees, the centroid's P(I_n = 1), the mean jordan root rank and
+its mean truncated at a largest root subtree.
 """
 
 from __future__ import annotations
@@ -471,3 +472,20 @@ def exact_jordan_mean_root_rank(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     return 1 + _harmonic_sum(1, n // 2 + 1)
+
+
+def exact_jordan_truncated_mean(n: int, b0: int) -> Fraction:
+    """E[R^J_n 1{M <= b0}] = Q_n + sum_{B=ceil(n/2)}^{b0} (1/B + 1/(n - B)), exactly.
+
+    M is the root's largest subtree (0 for n = 1), and ``b0`` must lie in
+    ``[ceil(n/2) - 1, n - 1]``.  The rank is 1 when 2M < n, which the
+    range always admits.  A root subtree of size B >= n/2 exists with
+    chance 1/B, and then the rank is 1 plus, on average, B/(n - B) of its
+    vertices, as in :func:`exact_jordan_mean_root_rank`.  Unlike the full
+    mean, whose variance is of order n, this one has an estimable SE.
+    """
+    lo = (n + 1) // 2
+    if n < 1 or not lo - 1 <= b0 <= n - 1:
+        raise ValueError(f"need n >= 1 and {lo - 1} <= b0 <= {n - 1}, got n={n}, b0={b0}")
+    return (exact_centroid_root_probability(n) + _harmonic_sum(lo, b0 + 1)
+            + _harmonic_sum(n - b0, n - lo + 1))

@@ -43,9 +43,9 @@ from math import isqrt
 
 import numpy as np
 
-from .centrality import CENTROID_GROUP, SWEEP_MEASURES, _root_down, phi_sign, rumor_band
+from .centrality import CENTROID_GROUP, SWEEP_MEASURES, phi_sign, rumor_band
 from .rng import RngStream
-from .tree import RecursiveTree, depth_dtype, parents_from_draws, subtree_sizes
+from .tree import RecursiveTree, depth_dtype, group_by, parents_from_draws, root_down, subtree_sizes
 
 __all__ = [
     "TrajectoryResult",
@@ -106,10 +106,10 @@ def _last_change(series: np.ndarray, grid: np.ndarray) -> int:
 class _Horizon:
     """The horizon tree in preorder, with the size series it implies.
 
-    Children are grouped by parent in ascending labels (v's are
-    ``kids[first[v] : first[v + 1]]``) and visited in that order, so v's
-    subtree is the preorder slice ``pre[v] : pre[v] + size[v]`` and its
-    children's slices follow one another inside it.  ``label`` and
+    ``group_by`` lists each vertex's children in ascending labels (v's are
+    ``kids[first[v] : first[v + 1]]``), and they are visited in that order,
+    so v's subtree is the preorder slice ``pre[v] : pre[v] + size[v]`` and
+    its children's slices follow one another inside it.  ``label`` and
     ``check`` hold, per preorder position, the vertex and the index of the
     first checkpoint at which it is present.  ``parent_degree[v]`` is the
     degree ``parent[v]`` reaches when v attaches.
@@ -121,17 +121,15 @@ class _Horizon:
     def __init__(self, tree: RecursiveTree, stride: int):
         n, parent = tree.n, tree.parent
         size = subtree_sizes(tree)
-        # Distinct keys, so the unstable sort orders siblings by label.
-        kids = np.sort(parent[2:] * (n + 1) + np.arange(2, n + 1)) % (n + 1)
-        first = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(parent[2:], minlength=n + 1), out=first[1:])
+        kids, first = group_by(parent[2:], n + 1)
+        kids += 2
         start = first[parent[kids]]
         before = np.zeros(n, dtype=np.int64)
         np.cumsum(size[kids], out=before[1:])
         # A child starts one past its parent, after its earlier siblings.
         gain = np.zeros(n + 1, dtype=np.int64)
         gain[kids] = 1 + before[:-1] - before[start]
-        pre = _root_down(parent, 0, gain, tree.levels)
+        pre = root_down(tree, 0, gain)
         idx = depth_dtype(n)
         label = np.empty(n, dtype=idx)
         label[pre[1:]] = np.arange(1, n + 1, dtype=idx)

@@ -11,11 +11,12 @@ Trees are immutable after construction.  The parent array is stored
 math.  Sizes and scores elsewhere use 64-bit integers throughout since
 n^2 terms appear downstream.
 
-Each tree caches its level order: the vertices grouped by depth, with
-the depths found by pointer jumping.  The subtree sizes (here) and the
-root-down sums of ``centrality`` take one numpy call per level.  A
-uniform tree's height is about e ln n, so its levels are wide; a tree of
-height near n, such as a path, pays one call per vertex.
+Each tree caches its level order: the depths found by pointer jumping,
+then grouped by ``group_by``, the package's one grouping sort.  The
+passes over it, ``subtree_sizes`` from the leaves and ``root_down`` from
+the root, take one numpy call per level.  A uniform tree's height is
+about e ln n, so its levels are wide; a tree of height near n, such as
+a path, pays one call per vertex.
 """
 
 from __future__ import annotations
@@ -46,13 +47,32 @@ def depth_dtype(n: int) -> type:
     return np.int32 if n + 1 < 2**31 else np.int64
 
 
+def group_by(keys: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` grouped by key, ascending within each group.
+
+    Group g is ``order[bounds[g] : bounds[g + 1]]`` for keys in
+    ``[0, groups)``; the offsets are a ``bincount`` and its ``cumsum``.  Up
+    to 2^16 groups the keys sort as uint16, which numpy's stable sort runs
+    as a radix sort.  Above that, the distinct int64 composites
+    ``key * size + position`` take that order under any sort and ``% size``
+    recovers the positions, so ``groups * size >= 2^63`` raises ValueError.
+    """
+    size = keys.size
+    if groups * size >= 2**63:
+        raise ValueError(f"{groups} groups of {size} keys overflow int64 composites")
+    bounds = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=groups), out=bounds[1:])
+    if groups <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable"), bounds
+    return np.sort(keys.astype(np.int64, copy=False) * size + np.arange(size)) % size, bounds
+
+
 @dataclass(frozen=True)
 class Levels:
     """Vertices of a tree grouped by depth, root first.
 
-    Level d holds the vertices d edges below the root and is
-    ``order[bounds[d] : bounds[d + 1]]``; ``order`` is 1..n in a stable
-    sort by depth, so each level lists its labels in ascending order.
+    Level d holds the vertices d edges below the root, in ascending
+    labels, and is ``order[bounds[d] : bounds[d + 1]]``.
     """
 
     order: np.ndarray
@@ -64,7 +84,7 @@ class Levels:
 
 
 def _build_levels(parent: np.ndarray) -> Levels:
-    """Depths by pointer jumping in O(n log h), then a stable sort by depth.
+    """Depths by pointer jumping in O(n log h), then ``group_by`` depth.
 
     ``depth[v]`` holds the distance from v to ``anc[v]`` and each round
     doubles both.  Slot 0 stands above the root at distance 0, so the loop
@@ -80,12 +100,8 @@ def _build_levels(parent: np.ndarray) -> Levels:
         depth += depth[anc]
         anc = anc[anc]
     height = int(depth.max())
-    # int16 keys let numpy's stable sort run as a radix sort.
-    key = depth[1:].astype(np.int16) if height < 2**15 else depth[1:]
-    order = np.argsort(key, kind="stable") + 1
-    bounds = np.zeros(height + 2, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=height + 1), out=bounds[1:])
-    return Levels(order, bounds, height)
+    order, bounds = group_by(depth[1:], height + 1)
+    return Levels(order + 1, bounds, height)
 
 
 class RecursiveTree:
@@ -194,6 +210,24 @@ def subtree_sizes(tree: RecursiveTree) -> np.ndarray:
         idx = levels.level(d)
         np.add.at(size, parent[idx], size[idx])
     return size
+
+
+def root_down(tree: RecursiveTree, first: int | float, gain: np.ndarray) -> np.ndarray:
+    """``out[1] = first`` and ``out[v] = out[parent[v]] + gain[v]`` for v >= 2.
+
+    The top-down twin of :func:`subtree_sizes`: one numpy call per level,
+    root first, so every parent is finished before its children read it,
+    and a float sum rounds once per edge, the rounding that
+    ``centrality.rumor_band`` bounds.  The result has ``gain``'s dtype and
+    slot 0 is 0.
+    """
+    parent, levels = tree.parent, tree.levels
+    out = np.zeros(parent.size, dtype=gain.dtype)
+    out[1] = first
+    for d in range(1, levels.height + 1):
+        idx = levels.level(d)
+        out[idx] = out[parent[idx]] + gain[idx]
+    return out
 
 
 def serialize_tree(tree: RecursiveTree) -> str:

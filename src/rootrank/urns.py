@@ -11,9 +11,9 @@ Three related samplers live here:
   color, drawing a colored ball duplicates it.  Ball i draws
   floor(u * i), the attachment rule of a URRT with ball i as vertex
   i + 1 and black as the root, so the colors are the root subtrees of
-  ``grow_urrt`` on the same draws and are read off that tree.  Tracks
-  the leading color (ties to the earliest-born color) and every time
-  it changes.
+  ``grow_urrt`` on the same draws: one ``tree.root_down`` pass paints
+  them and ``tree.group_by`` counts each color's balls.  Tracks the
+  leading color (ties to the earliest-born color) and every change.
 * Exact sampler for D = max(U1, (1-U1)U2, (1-U1)(1-U2)U3, ...): the
   running product bounds every future term, so the first time it drops
   below the current maximum the draw can stop, having produced an exact
@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import _root_down
-from .tree import grow_urrt
+from .tree import group_by, grow_urrt, root_down
 
 _DIAGONAL_DP_MAX_HORIZON = 500
 # Steps per block of the vectorized urns; each replicate draws a block's
@@ -161,15 +160,13 @@ def hoppe_run(steps: int, rng: np.random.Generator) -> HoppeRun:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     tree = grow_urrt(steps + 1, rng)
-    parent = tree.parent
-    founds = parent == 1
+    founds = tree.parent == 1
     num_colors = np.cumsum(founds)
-    color = _root_down(parent, 0, np.where(founds, num_colors, 0), tree.levels)[2:]
+    color = root_down(tree, 0, np.where(founds, num_colors, 0))[2:]
     # A ball's count at its step is one more than the earlier balls of its color.
-    order = np.argsort(color, kind="stable")
-    ordered = color[order]
+    order, first = group_by(color, int(num_colors[-1]) + 1)
     count = np.empty(steps, dtype=np.int64)
-    count[order] = np.arange(1, steps + 1) - np.searchsorted(ordered, ordered)
+    count[order] = np.arange(1, steps + 1) - first[color[order]]
     # Key b - 1 at t = 0 reads back as count 0 and color 0.
     b = steps + 2
     key = np.empty(steps + 1, dtype=np.int64)

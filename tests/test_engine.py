@@ -318,6 +318,8 @@ class TestChildIndex:
         below = grow_urrt(n - 1, RngStream(seed, 0)).parent[2:]
         return RecursiveTree([1] + (below + 1).tolist())
 
+    # at 70_000 a column has more than 2^16 slots, so it scans up to
+    # _WIDE_SCANS times and group_by indexes it by composite keys
     @pytest.mark.parametrize("shape, n", [("one-child root", 10_000), ("broom", 3000),
                                           ("one-child root", 70_000)])
     def test_long_walks_match_compute_profile(self, monkeypatch, shape, n):

@@ -4,9 +4,9 @@ P(R_n = 1) for degree is the chance that the root's degree strictly beats
 every other vertex's.  The recursion in exact_degree_root_probability is
 checked exactly against a count over all recursive trees for n <= 8, and
 against the same recursion written as a direct loop for larger n.  The
-closed forms for the centroid's P(I_n = 1) and the mean jordan root rank
-are checked in exact fractions against the oracle jordan scorer on every
-recursive tree with n <= 8.
+closed forms for the centroid's P(I_n = 1), the mean jordan root rank and
+its truncated mean are checked in exact fractions against the oracle
+jordan scorer on every recursive tree with n <= 8.
 """
 
 from fractions import Fraction
@@ -18,11 +18,12 @@ from rootrank.oracles import (
     exact_centroid_root_probability,
     exact_degree_root_probability,
     exact_jordan_mean_root_rank,
+    exact_jordan_truncated_mean,
     oracle_degree,
     oracle_jordan,
     oracle_rank,
 )
-from rootrank.tree import enumerate_recursive_trees
+from rootrank.tree import enumerate_recursive_trees, subtree_sizes
 
 # P(R_n = 1) for n = 2..8 by full enumeration
 ENUMERATED = {
@@ -93,13 +94,29 @@ def test_rejects_empty_tree():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_jordan_closed_forms_match_enumeration(n):
     centroid_at_root = rank_sum = trees = 0
+    rank_by_largest = [0] * n  # rank sums by the root's largest subtree M
     for tree in enumerate_recursive_trees(n):
         rank = oracle_rank(oracle_jordan(tree), larger_is_central=False)
         centroid_at_root += rank.index(1) == 1  # ties rank the largest label first
         rank_sum += rank[1]
         trees += 1
+        rank_by_largest[int(subtree_sizes(tree)[tree.parent == 1].max(initial=0))] += rank[1]
     assert exact_centroid_root_probability(n) == Fraction(centroid_at_root, trees)
     assert exact_jordan_mean_root_rank(n) == Fraction(rank_sum, trees)
+    for b0 in range((n + 1) // 2 - 1, n):
+        want = Fraction(sum(rank_by_largest[: b0 + 1]), trees)
+        assert exact_jordan_truncated_mean(n, b0) == want, b0
+
+
+def test_jordan_truncated_mean_values():
+    assert float(exact_jordan_truncated_mean(1_000, 900)) == pytest.approx(2.5111409, abs=1e-7)
+    assert float(exact_jordan_truncated_mean(10_000, 9000)) == pytest.approx(2.5047830, abs=1e-7)
+
+
+@pytest.mark.parametrize("n, b0", [(0, 0), (1, 1), (10, 3), (10, 10), (9, 3), (9, -1)])
+def test_jordan_truncated_mean_rejects_b0_outside_range(n, b0):
+    with pytest.raises(ValueError):
+        exact_jordan_truncated_mean(n, b0)
 
 
 @pytest.mark.parametrize("closed_form", [exact_centroid_root_probability,

@@ -10,6 +10,7 @@ from rootrank.tree import (
     EdgeListParseError,
     RecursiveTree,
     depth_dtype,
+    group_by,
     parse_edge_list,
     read_edge_list,
     serialize_tree,
@@ -180,9 +181,46 @@ class TestLevels:
         tree = grow_urrt(1000, RngStream(3))
         assert tree.levels is tree.levels
 
+    def test_path_above_radix_groups(self):
+        # height n - 1 > 2^16: one level per vertex, grouped by composite keys
+        n = 70_000
+        levels = RecursiveTree(np.arange(1, n)).levels
+        assert levels.height == n - 1
+        assert levels.order.tolist() == list(range(1, n + 1))  # depth[v] = v - 1
+        assert levels.bounds.tolist() == list(range(n + 1))
+
     def test_depth_dtype_rule(self):
         # int32 holds every depth and partial depth while n + 1 < 2^31
         assert depth_dtype(1) is np.int32
         assert depth_dtype(2**31 - 2) is np.int32
         assert depth_dtype(2**31 - 1) is np.int64
         assert depth_dtype(10**12) is np.int64
+
+
+class TestGroupBy:
+    """``group_by`` is a stable argsort by key with bincount offsets, on both sides of 2^16."""
+
+    @pytest.mark.parametrize("groups", [1, 7, 2**16, 2**16 + 1, 200_000])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_stable_argsort(self, groups, dtype):
+        rng = np.random.default_rng(groups)
+        # few distinct keys, the largest among them, so most groups get none;
+        # 20_000 keys take int32 composites past 2^31 at 200_000 groups
+        values = rng.choice(groups, size=min(groups, 50), replace=False)
+        values[0] = groups - 1
+        keys = rng.choice(values, size=20_000).astype(dtype)
+        order, bounds = group_by(keys, groups)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+        assert bounds.tolist() == [0] + np.cumsum(np.bincount(keys, minlength=groups)).tolist()
+
+    @pytest.mark.parametrize("groups", [3, 200_000])
+    def test_empty_keys(self, groups):
+        order, bounds = group_by(np.zeros(0, dtype=np.int64), groups)
+        assert order.size == 0
+        assert bounds.tolist() == [0] * (groups + 1)
+
+    @pytest.mark.parametrize("groups, size", [(2**16, 2**47), (2**62, 2)])
+    def test_composite_overflow_rejected(self, groups, size):
+        # a zero-stride view: the check must come before any array of that size
+        with pytest.raises(ValueError, match="overflow"):
+            group_by(np.broadcast_to(np.int64(0), (size,)), groups)
