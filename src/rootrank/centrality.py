@@ -221,8 +221,8 @@ def rumor_band(n: int, height: int) -> float:
     rounding of the comparison itself.  A float gap above the band thus
     orders the exact scores strictly; at n = 10^6 and h about 40 it is
     6e-12.  The bound holds for sums along any paths of at most
-    ``height`` edges from one start vertex, and no path in a tree has
-    more than n - 1 edges, so ``height = n - 1`` is sound for any shape.
+    ``height`` edges from one start vertex; :mod:`rootrank.walks` takes
+    ``h + 1`` for a vertex at depth h, which covers it and its children.
     """
     if n < 2 or height < 1:
         return 0.0

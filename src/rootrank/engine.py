@@ -19,9 +19,9 @@ column, :func:`rootrank.walks.root_walk`.  It descends only into the
 small regions where a vertex can be as central as the root, so no score
 matrix is built.  The walk finds a vertex's children by scanning the
 column, and a column whose walk runs long groups its children once by
-``tree.group_by`` and slices that.  The growth trajectories of :mod:`rootrank.persistence`
-apply the same region rule to their horizon tree over all checkpoints at
-once; the tests hold both to ``compute_profile``.
+``tree.group_by`` and slices that.  The growth trajectories apply the
+same region rule, with the same per-depth rumor band, to their horizon
+tree over all checkpoints at once, by ``walks.checkpoint_walk``.
 
 A sweep is split into chunks of replicates.  A chunk is the unit of
 parallel dispatch and of output grouping, not of memory: a chunk job

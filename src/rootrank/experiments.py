@@ -60,8 +60,8 @@ EXPERIMENT_KINDS = (
     "polya-diagonal-hit",
 )
 
-# Grid cells (n values, urn a values) get disjoint stream-id blocks so no
-# replicate stream is ever reused across cells.
+# Grid cells (n values, urn a values) get disjoint stream-id blocks that hold
+# a cell's reps or runs, so no replicate stream is ever reused across cells.
 _STREAM_BLOCK = 2**32
 
 _URN_CHUNK = 128
@@ -116,6 +116,9 @@ class ExperimentConfig:
         for name in ("reps", "workers", "horizon", "trajectories", "runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("reps", "runs"):
+            if getattr(self, name) > _STREAM_BLOCK:
+                raise ConfigError(f"{name} must be <= {_STREAM_BLOCK}")
         if self.stride < 0:
             raise ConfigError("stride must be >= 0")
         stride = self.resolved_stride()

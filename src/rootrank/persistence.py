@@ -21,31 +21,23 @@ v's slice of the horizon tree's preorder, and nothing is stepped:
   degree rank at m counts the vertices that have reached the root's
   degree by m.
 * The other ranks and the betweenness index are read at the checkpoints,
-  every ``stride`` steps.  A vertex at least as central as the root
-  lies, at that checkpoint, in the root cone of jordan and betweenness,
-  the closeness region or the rumor region, which are closed upwards
-  and small (Bubeck, Devroye and Lugosi, "Finding Adam in random growing
-  trees", 2017).  One depth-first pass from the root descends only into
-  children that lie in one of them at some checkpoint, and adds each
-  rank as a vector over the checkpoints.  The batch engine applies the
-  same region rule to one tree at a time, in scalars, by
-  :func:`rootrank.walks.root_walk`.
+  every ``stride`` steps, by one pass down the horizon tree through
+  ``child_series``, :func:`rootrank.walks.checkpoint_walk`.
 
-Every count is exact: rumor near ties are settled by ``phi_sign`` on
-the path's sizes.  Tests hold the series to ``compute_profile`` on the
-prefix trees at every step of small horizons.
+Every count is exact.  Tests hold the series to ``compute_profile`` on
+the prefix trees at every step of small horizons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .centrality import CENTROID_GROUP, SWEEP_MEASURES, phi_sign, rumor_band
+from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
 from .tree import RecursiveTree, depth_dtype, group_by, parents_from_draws, root_down, subtree_sizes
+from .walks import checkpoint_walk
 
 __all__ = [
     "TrajectoryResult",
@@ -115,8 +107,8 @@ class _Horizon:
     degree ``parent[v]`` reaches when v attaches.
     """
 
-    __slots__ = ("n", "parent", "size", "height", "kids", "first", "pre",
-                 "label", "check", "parent_degree")
+    __slots__ = ("n", "parent", "size", "kids", "first", "pre", "label", "check",
+                 "parent_degree")
 
     def __init__(self, tree: RecursiveTree, stride: int):
         n, parent = tree.n, tree.parent
@@ -139,7 +131,6 @@ class _Horizon:
         self.n = n
         self.parent = parent
         self.size = size
-        self.height = tree.levels.height
         self.kids = kids
         self.first = first
         self.pre = pre
@@ -223,92 +214,6 @@ class _Horizon:
         counts = np.bincount(owner + column, minlength=kids.size * width)
         return kids, np.cumsum(counts.reshape(kids.size, width)[:, :-1], axis=1)
 
-    def local_ranks(self, grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Jordan, betweenness, closeness and rumor root ranks at each
-        checkpoint, and the betweenness index.
-
-        At checkpoint m the vertices at least as central as the root lie in
-        regions closed upwards: for jordan and betweenness the cone
-        s(v) >= m - isqrt(score(root)) (``walks.root_walk`` says why); for
-        closeness and rumor where the root-down diffs
-        d(v) = d(p) + m - 2 s(v) and r(v) = r(p) + log(m - s(v)) - log(s(v))
-        are <= 0, as both grow convexly down any root path.  Given its
-        parent's diffs, each region asks a child for a least size, so a
-        child is visited when its size reaches the smallest of the three at
-        some checkpoint.  Its window, the checkpoints from the first such
-        to the last, bounds where it or any vertex below it can count, so
-        its series span only that window.  Rumor diffs within
-        ``rumor_band`` of 0 are settled by ``phi_sign``; the band bounds
-        root-down sums over at most the horizon tree's height of edges.
-        """
-        checks = grid.size
-        tol = rumor_band(self.n, self.height)
-        ranks = {t: np.ones(checks, dtype=np.int64)
-                 for t in ("jordan", "betweenness", "closeness", "rumor")}
-        kids, sizes = self.child_series(1, 0, checks)
-        root = (sizes * sizes).sum(0)
-        jordan = grid - sizes.max(0, initial=0)
-        root_sd = np.sqrt(root).astype(np.int64)  # off by one at most, and rarely
-        for k in np.flatnonzero((root_sd**2 > root) | ((root_sd + 1) ** 2 <= root)).tolist():
-            root_sd[k] = isqrt(int(root[k]))
-        cone = grid - root_sd
-        best = root.copy()
-        best_label = np.ones(checks, dtype=np.int64)
-        stack = []
-
-        def push(a, kids, sizes, d, r, path):
-            """Stack the children that lie in a region at some checkpoint."""
-            w = slice(a, a + d.size)
-            m = grid[w]
-            # r is within tol of the exact diff, so a child can be in the rumor
-            # region only if (m - s) / s <= exp(tol - r), that is
-            # s >= m / (1 + exp(tol - r)), lowered here by a margin far above
-            # the rounding of that bound.
-            with np.errstate(over="ignore"):
-                rumor = m / (1 + np.exp(tol - r)) * (1 - 1e-9)
-            least = np.minimum(np.minimum(cone[w], (d + m + 1) // 2), rumor)
-            hit = sizes >= np.maximum(least, 1)
-            for j in np.flatnonzero(hit.any(1)).tolist():
-                cols = np.flatnonzero(hit[j])
-                lo, hi = int(cols[0]), int(cols[-1]) + 1
-                s = sizes[j, lo:hi]
-                mc = m[lo:hi]
-                stack.append((int(kids[j]), a + lo, s.copy(), d[lo:hi] + mc - 2 * s,
-                              r[lo:hi] + (np.log(mc - s) - np.log(s)), path))
-
-        push(0, kids, sizes, np.zeros(checks, dtype=np.int64), np.zeros(checks), ())
-        while stack:
-            v, a, s, d, r, path = stack.pop()
-            path += ((v, a, s),)
-            w = slice(a, a + s.size)
-            kids, sizes = self.child_series(v, w.start, w.stop)
-            m = grid[w]
-            score = (m - s) ** 2 + (sizes * sizes).sum(0)
-            ranks["jordan"][w] += s >= jordan[w]
-            ranks["betweenness"][w] += score <= root[w]
-            tail, tail_label = best[w], best_label[w]
-            better = (score < tail) | ((score == tail) & (v > tail_label))
-            tail[better] = score[better]
-            tail_label[better] = v
-            ranks["closeness"][w] += d <= 0
-            ranks["rumor"][w] += r < -tol
-            for i in np.flatnonzero(np.abs(r) <= tol).tolist():
-                ranks["rumor"][a + i] += _rumor_tie(path, a + i, int(m[i]))
-            push(a, kids, sizes, d, r, path)
-        return ranks, best_label
-
-
-def _rumor_tie(path: tuple, k: int, m: int) -> bool:
-    """phi(v) <= phi(root) at checkpoint k, exactly.
-
-    ``path`` holds (u, a, series of u's sizes from checkpoint a) for each
-    vertex below the root on the way down to v.
-    """
-    size = {u: int(su[k - a]) for u, a, su in path}
-    labels = [u for u, _, _ in path]
-    parent = dict(zip(labels, [1] + labels[:-1]))
-    return phi_sign(parent, size, m, labels[-1], 1) <= 0
-
 
 def run_trajectory(
     horizon: int,
@@ -338,7 +243,7 @@ def _track(
     horizon = tree.n
     grid = checkpoint_grid(horizon, stride)
     horizon_tree = _Horizon(tree, stride)
-    series_rank, between = horizon_tree.local_ranks(grid)
+    series_rank, between = checkpoint_walk(horizon_tree, grid)
     series_rank["degree"] = horizon_tree.degree_ranks(grid)
     center = horizon_tree.centroids()
     leader = horizon_tree.degree_leaders()

@@ -29,6 +29,7 @@ from rootrank.engine import (
     replicate_chunks,
 )
 from rootrank.experiments import _fraction_chunk_job
+from rootrank.persistence import _track
 from rootrank.rng import stream_uniforms
 from rootrank.tree import RecursiveTree, subtree_sizes
 
@@ -160,9 +161,9 @@ class TestAgreementWithPerTree:
 
     @pytest.mark.parametrize("n, reps", [(300, 20), (60, 40)])
     def test_wide_rumor_band(self, monkeypatch, n, reps):
-        # The walk is exact for any band at least as wide as the rounding
+        # Both walks are exact for any band at least as wide as the rounding
         # bound: phi_sign settles every vertex in the band, and the walk goes
-        # on below it.
+        # on below it.  The trajectory meets the band at every prefix tree.
         monkeypatch.setattr(walks, "rumor_band", lambda m, height: 0.5)
         parents = generate_parent_matrix(3, n, 0, reps)
         got = rank_index_batch(parents, n)
@@ -172,6 +173,14 @@ class TestAgreementWithPerTree:
                 report = compute_profile(tree, measure).report
                 assert got[tag][0][j] == report.root_rank, (tag, n, j)
                 assert got[tag][1][j] == report.center_index, (tag, n, j)
+        horizon = grow_urrt(200, RngStream(3, n))
+        series = _track(horizon, 1, keep_series=True).series
+        for m in range(1, horizon.n + 1):
+            tree = RecursiveTree(horizon.parent[2 : m + 1].tolist())
+            for tag, measure in SWEEP_MEASURES.items():
+                report = compute_profile(tree, measure).report
+                got_m = (series["rank"][tag][m - 1], series["index"][tag][m - 1])
+                assert got_m == (report.root_rank, report.center_index), (tag, m)
 
     def test_n_one_all_ones(self):
         parents = generate_parent_matrix(5, 1, 0, 6)

@@ -63,6 +63,13 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=key):
                 _cfg(**{key: 0})
 
+    @pytest.mark.parametrize("key", ["reps", "runs"])
+    def test_counts_fit_stream_block(self, key):
+        # one grid cell's replicates take stream ids block * 2**32 + i
+        _cfg(**{key: 2**32})
+        with pytest.raises(ConfigError, match=f"{key} must be <= 4294967296"):
+            _cfg(**{key: 2**32 + 1})
+
     def test_threshold_open_interval(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ConfigError, match="threshold"):
