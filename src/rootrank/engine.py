@@ -12,16 +12,16 @@ merged tree, the block's columns hung from a common super-root: about
 ``log2 h`` rounds for columns of height ``h``, each a few numpy calls
 shared by every tree of the block, with no level order.  The pass
 allocates its scratch arrays once per call and reuses them for every
-block of that call.  The centroid is one reduction over the block's
-sizes, and degree one ``bincount`` per column.  The other root ranks,
-and the betweenness index, come from one walk down from the root per
-column, :func:`rootrank.walks.root_walk`.  It descends only into the
-small regions where a vertex can be as central as the root, so no score
-matrix is built.  The walk finds a vertex's children by scanning the
-column, and a column whose walk runs long groups its children once by
-``tree.group_by`` and slices that.  The growth trajectories apply the
-same region rule, with the same per-depth rumor band, to their horizon
-tree over all checkpoints at once, by ``walks.checkpoint_walk``.
+block of that call.  Degree takes one ``bincount`` per column.  The other
+root ranks, the betweenness index and the centroid index come from one
+walk down from the root per column, :func:`rootrank.walks.root_walk`.
+It descends only into the small regions where a vertex can be as central
+as the root, which hold the centroid path, so no score matrix is built.
+The walk finds a vertex's children by scanning the column, and a column
+whose walk runs long groups its children once by ``tree.group_by`` and
+slices that.  The growth trajectories apply the same region rule, with
+the same per-depth rumor band, to their horizon tree over all
+checkpoints at once, by ``walks.checkpoint_walk``.
 
 A sweep is split into chunks of replicates.  A chunk is the unit of
 parallel dispatch and of output grouping, not of memory: a chunk job
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centrality import CENTROID_GROUP, SWEEP_MEASURES
+from .centrality import SWEEP_MEASURES
 from .rng import stream_uniforms
 from .tree import group_by, parents_from_draws
 from .walks import root_walk
@@ -213,7 +213,8 @@ def rank_index_batch(
     ``parents`` is a matrix from ``generate_parent_matrix``.  Returns
     ``{tag: (root_rank, center_index)}`` with one int64 entry per column.
     Ranks are pessimistic: ties count against the root, and tied best
-    scores resolve to the largest label.
+    scores resolve to the largest label.  Every rank and index but
+    degree's comes from one root walk per column, the centroid index too.
     """
     unknown = set(measures) - set(SWEEP_MEASURES)
     if unknown:
@@ -229,18 +230,12 @@ def rank_index_batch(
             index["degree"][j] = n - np.argmax(degree[:0:-1])  # largest label on ties
     if set(measures) - {"degree"}:
         for lo, columns, block_sizes in _blocks(parents, n):
-            # Vertices with 2 s(v) >= n form a path from the root, and labels
-            # grow along it, so its largest label is its last vertex: the
-            # centroid, or the child of a tied centroid pair.  That is the
-            # center index of the centroid group.
-            center = n - np.argmax(block_sizes[:, n:0:-1] >= (n + 1) // 2, axis=1)
-            for tag in CENTROID_GROUP:
-                index[tag][lo : lo + center.size] = center
             for j, column, sizes in zip(range(lo, rows), columns, block_sizes):
                 # memoryviews: items are Python ints, as the walk needs
                 (rank["jordan"][j], rank["betweenness"][j], index["betweenness"][j],
-                 rank["closeness"][j], rank["rumor"][j]) = root_walk(
+                 rank["closeness"][j], rank["rumor"][j], index["jordan"][j]) = root_walk(
                     memoryview(column), memoryview(sizes), _Children(column), n)
+        index["closeness"][:] = index["rumor"][:] = index["jordan"]  # one centroid index
     return {tag: (rank[tag], index[tag]) for tag in measures}
 
 

@@ -8,9 +8,9 @@ worse on purpose.
 
 The distributional references are exact values for a URRT on n vertices,
 derived rather than sampled, for any n: the degree P(R_n = 1), from a
-recursion over tree sizes, and three closed forms from the law of the
-root subtrees, the centroid's P(I_n = 1), the mean jordan root rank and
-its mean truncated at a largest root subtree.
+recursion over tree sizes, and four closed forms from the law of the
+root subtrees, the centroid's P(I_n = 1) and mean index, the mean jordan
+root rank and its mean truncated at a largest root subtree.
 """
 
 from __future__ import annotations
@@ -458,6 +458,30 @@ def exact_centroid_root_probability(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     return 1 - _harmonic_sum((n + 1) // 2, n)
+
+
+def exact_centroid_mean_index(n: int) -> Fraction:
+    """E[I_n], the centroid's mean birth index, exactly: 5/2 - 2/(n + 2)
+    for even n and 5/2 - 6/(n + 3) for odd n.
+
+    The vertices with 2 s(v) >= n form a path from the root, and I_n is
+    the label of its last vertex.  Let c = ceil(n/2).  From a vertex of
+    size b the path moves to a child of size b' with chance 1/b', for each
+    b' in c..b-1, and stops otherwise: the root-subtree law inside the
+    subtree, where at most one child has 2 b' >= n.  Given the sizes, a
+    path child's label minus its parent's label l is the least element of
+    a uniform b'-subset of {1..n-l}, of mean (n - l + 1)/(b' + 1), so
+    D = n + 1 - l shrinks in mean by the factor b'/(b' + 1) at each step.
+    Hence E[I_n] = n + 1 - n f(n), with f(b) the mean product of those
+    factors over the rest of the path from a vertex of size b: f(c) = 1
+    and f(b + 1) = f(b) (b + 2)/(b + 1) - 1/b.  With g(b) = f(b)/(b + 1)
+    this is g(b + 1) = g(b) - 1/(b (b + 2)), which telescopes to the
+    closed form.  Background: J. W. Moon, "On the centroid of recursive
+    trees", Australas. J. Combin. 2002.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Fraction(5, 2) - (Fraction(6, n + 3) if n % 2 else Fraction(2, n + 2))
 
 
 def exact_jordan_mean_root_rank(n: int) -> Fraction:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .centrality import CENTROID_GROUP, SWEEP_MEASURES
 from .rng import RngStream
-from .tree import RecursiveTree, depth_dtype, group_by, parents_from_draws, root_down, subtree_sizes
+from .tree import RecursiveTree, depth_dtype, group_by, grow_urrt, root_down, subtree_sizes
 from .walks import checkpoint_walk
 
 __all__ = [
@@ -224,16 +224,14 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """Grow one trajectory to ``horizon`` and track I_m and R_m.
 
-    Attachment draws replay ``grow_urrt`` on the same stream, so the tree
-    at the horizon matches the fixed-size generator replicate for
-    replicate.  ``stride`` must divide the horizon.
+    The tree at the horizon is ``grow_urrt`` on the same stream, so it
+    matches the fixed-size generator replicate for replicate.  ``stride``
+    must divide the horizon.
     """
     if stride is None:
         stride = default_stride(horizon)
     checkpoint_grid(horizon, stride)  # rejects a bad horizon or stride before any draw
-    draws = rng.generator().random(horizon - 1)
-    return _track(RecursiveTree(parents_from_draws(draws), validate=False), stride,
-                  keep_series, replicate)
+    return _track(grow_urrt(horizon, rng), stride, keep_series, replicate)
 
 
 def _track(

@@ -5,10 +5,11 @@ jordan, betweenness, closeness and rumor they lie in small regions that
 contain the root and are closed upwards, the root-finding sets of
 Bubeck, Devroye and Lugosi ("Finding Adam in random growing trees",
 2017), so each rank is found by walking them instead of scoring all m
-vertices.  This module alone states that rule, in two shapes that the
-tests hold to ``compute_profile`` and to each other: ``root_walk`` reads
-one tree, for the batch engine, and ``checkpoint_walk`` the horizon tree
-of a growth trajectory, at all its checkpoints at once.
+vertices; the centroid path lies in them too.  This module alone states
+that rule, in two shapes that the tests hold to ``compute_profile`` and
+to each other: ``root_walk`` reads one tree, for the batch engine, and
+``checkpoint_walk`` the horizon tree of a growth trajectory, at all its
+checkpoints at once.
 
 Rumor diffs are float sums down the root path.  A vertex at depth h gets
 the band ``rumor_band(m, h + 1)``, which covers its own diff and its
@@ -40,9 +41,9 @@ def _rumor_least(m, r, tol, exp):
     return m / (1 + exp(tol - r)) * (1 - 1e-9)
 
 
-def root_walk(parent, size, children, m: int) -> tuple[int, int, int, int, int]:
+def root_walk(parent, size, children, m: int) -> tuple[int, int, int, int, int, int]:
     """(jordan rank, betweenness rank, betweenness index, closeness rank,
-    rumor rank) by one depth-first walk from the root.
+    rumor rank, centroid index) by one depth-first walk from the root.
 
     The walk reads ``children[v]``, the children of v, and ``size[v]``,
     the subtree sizes; ``phi_sign`` also reads ``parent[v]``.  ``size``
@@ -59,7 +60,10 @@ def root_walk(parent, size, children, m: int) -> tuple[int, int, int, int, int]:
       label on ties, lies in it.  Jordan scores v by max(m - s(v), largest
       child size); a child of v != 1 is smaller than psi(root), the root's
       score, so v counts for jordan exactly when s(v) >= m - psi(root),
-      which lies in the cone as score(root) >= psi(root)^2.
+      which lies in the cone as score(root) >= psi(root)^2.  So does the
+      path {v : 2 s(v) >= m}: its v != 1 lie in a root subtree of size
+      M >= m/2, and cone <= m - M <= s(v).  The walk pops the path in depth
+      order; its last pop is the centroid index, or a tied pair's child.
     * closeness and rumor count v by the root-relative diffs
       d(w) = d(v) + m - 2 s(w) and r(w) = r(v) + log(m - s(w)) - log(s(w)),
       which grow convexly down any root path, so their regions d <= 0 and
@@ -81,12 +85,14 @@ def root_walk(parent, size, children, m: int) -> tuple[int, int, int, int, int]:
             bands.append(rumor_band(m, h + 1))
         tol = bands[h]
         s = size[v]
+        if 2 * s >= m:
+            center = v
         rank_j += s >= jordan
         rank_c += d <= 0
         if r < -tol:
             rank_r += 1
         elif r <= tol:
-            rank_r += phi_sign(parent, size, m, v, 1) <= 0
+            rank_r += v == 1 or phi_sign(parent, size, m, v, 1) <= 0
         score = (m - s) ** 2
         kids = children[v]
         if kids:
@@ -103,7 +109,7 @@ def root_walk(parent, size, children, m: int) -> tuple[int, int, int, int, int]:
             rank_b += 1
             if score < best_score or (score == best_score and v > best):
                 best_score, best = score, v
-    return rank_j, rank_b, best, rank_c, rank_r
+    return rank_j, rank_b, best, rank_c, rank_r, center
 
 
 def checkpoint_walk(horizon, grid: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:

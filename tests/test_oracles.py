@@ -6,7 +6,9 @@ checked exactly against a count over all recursive trees for n <= 8, and
 against the same recursion written as a direct loop for larger n.  The
 closed forms for the centroid's P(I_n = 1), the mean jordan root rank and
 its truncated mean are checked in exact fractions against the oracle
-jordan scorer on every recursive tree with n <= 8.
+jordan scorer on every recursive tree with n <= 8, and the centroid's mean
+index against compute_profile there, against the centroid-path recursion
+it is derived from, and against the batch engine at n = 10^3.
 """
 
 from fractions import Fraction
@@ -14,7 +16,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rootrank.centrality import JORDAN, compute_profile
+from rootrank.experiments import run_rank_index_sweep
 from rootrank.oracles import (
+    exact_centroid_mean_index,
     exact_centroid_root_probability,
     exact_degree_root_probability,
     exact_jordan_mean_root_rank,
@@ -119,7 +124,37 @@ def test_jordan_truncated_mean_rejects_b0_outside_range(n, b0):
         exact_jordan_truncated_mean(n, b0)
 
 
-@pytest.mark.parametrize("closed_form", [exact_centroid_root_probability,
+@pytest.mark.parametrize("n", range(1, 9))
+def test_centroid_mean_index_matches_enumeration(n):
+    indices = [compute_profile(tree, JORDAN).report.center_index
+               for tree in enumerate_recursive_trees(n)]
+    assert exact_centroid_mean_index(n) == Fraction(sum(indices), len(indices))
+
+
+def _centroid_path_recursion(n):
+    """n + 1 - n f(n), with f(c) = 1 and f(b + 1) = f(b) (b + 2)/(b + 1) - 1/b."""
+    f = Fraction(1)
+    for b in range((n + 1) // 2, n):
+        f = f * (b + 2) / (b + 1) - Fraction(1, b)
+    return n + 1 - n * f
+
+
+def test_centroid_mean_index_matches_recursion():
+    for n in range(1, 400):
+        assert exact_centroid_mean_index(n) == _centroid_path_recursion(n), n
+
+
+def test_engine_centroid_mean_index_at_a_thousand():
+    index = run_rank_index_sweep(2710, 1_000, 4096, ("jordan",))["jordan"][1]
+    exact = float(exact_centroid_mean_index(1_000))
+    assert exact == pytest.approx(2.498004, abs=1e-6)
+    z = (index.mean() - exact) / (index.std(ddof=1) / np.sqrt(index.size))
+    print(f"E[I] at n = 1000: {index.mean():.4f} against {exact:.6f}, z = {z:+.2f}")
+    assert abs(z) < 3
+
+
+@pytest.mark.parametrize("closed_form", [exact_centroid_mean_index,
+                                         exact_centroid_root_probability,
                                          exact_jordan_mean_root_rank])
 def test_closed_forms_reject_empty_tree(closed_form):
     with pytest.raises(ValueError):

@@ -16,7 +16,21 @@ def test_partial_tree_at_a_billion():
     size = {1: 10**9, 2: s, 3: s, 4: s}
     parent = {2: 1, 3: 1, 4: 1}
     children = {1: [2, 3, 4]}
-    assert walks.root_walk(parent, size, children, 10**9) == (1, 1, 1, 1, 1)
+    assert walks.root_walk(parent, size, children, 10**9) == (1, 1, 1, 1, 1, 1)
+
+
+def test_partial_tree_with_a_tied_centroid_pair():
+    # Vertex 2 holds exactly half of 10^9 vertices, so 1 and 2 are a tied
+    # centroid pair, and the centroid index is 2.  They tie for jordan
+    # (psi = 5*10^8), closeness (d(2) = 0) and rumor (r(2) = 0.0, settled
+    # by phi_sign), and 3 counts only for betweenness, whose best score is
+    # 2's.  Vertices 4 to 7 lie in no region: reading their children raises.
+    m, half = 10**9, 5 * 10**8
+    size = {1: m, 2: half, 3: half - 1, 4: half // 2 - 1, 5: half // 2,
+            6: half // 2 - 1, 7: half // 2 - 1}
+    parent = {2: 1, 3: 1}
+    children = {1: [2, 3], 2: [4, 5], 3: [6, 7]}
+    assert walks.root_walk(parent, size, children, m) == (2, 3, 2, 2, 2, 2)
 
 
 def test_tall_rumor_tie_is_settled_exactly(monkeypatch):
@@ -36,6 +50,7 @@ def test_tall_rumor_tie_is_settled_exactly(monkeypatch):
     monkeypatch.setattr(walks, "phi_sign", counted)
     got = rank_index_batch(tree.parent.astype(np.int64)[:, None], n)
     assert (n, handle + 1) in calls
+    assert all(a != 1 for _, a in calls)  # the root counts without a comparison
     calls.clear()
     res = _track(tree, stride, keep_series=True)
     assert {(n, handle + 1), (stride, stride), (2 * stride, 2 * stride)} <= set(calls)
